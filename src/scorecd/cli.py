@@ -94,7 +94,8 @@ def main():
 @main.command()
 @click.option("--input", "input_spec", required=True,
               help="Edge-list path or builtin:<name>.")
-@click.option("--labels", default=None, help="Ground-truth label file.")
+@click.option("--labels", default=None,
+              help="Ground-truth 'node label' file (or node,label CSV).")
 @click.option("--k", "k", type=int, required=True, help="Community count.")
 @click.option("--method", default="score", show_default=True,
               help="score, scoreq:<q>, opca or npca.")
@@ -285,7 +286,8 @@ def spectra(what, input_spec, preset, config_path, k, seed, as_json, as_csv,
 
 
 @main.command("eval")
-@click.option("--estimated", required=True, help="'node label' file to score.")
+@click.option("--estimated", required=True,
+              help="'node label' file (or node,label CSV) to score.")
 @click.option("--truth", required=True, help="'node label' reference file.")
 @click.option("--k", "k", type=int, default=None,
               help="Community count; default: distinct labels seen.")
@@ -293,18 +295,17 @@ def spectra(what, input_spec, preset, config_path, k, seed, as_json, as_csv,
 @click.option("--out", default=None, help="Write output to a file.")
 @_guard
 def eval_cmd(estimated, truth, k, as_json, out):
-    """Permutation-minimized Hamming error between two label files."""
-    with open(_resolve_path(truth)) as fh:
-        truth_map = _read_label_map(fh)
+    """Permutation-minimized Hamming error between two label files.
+
+    Scored over the nodes of the estimated file (the giant component, for
+    `detect --csv` output); the truth file must label each of them.
+    """
     with open(_resolve_path(estimated)) as fh:
-        est_map = _read_label_map(fh)
-    missing = sorted(set(truth_map) - set(est_map))
-    if missing:
-        raise DataError(f"{len(missing)} nodes missing from estimated labels "
-                        f"(first: {missing[0]!r})")
-    order = list(truth_map)
-    est_codes = _codes([est_map[tok] for tok in order])
-    tru_codes = _codes([truth_map[tok] for tok in order])
+        est_lines = fh.readlines()
+    order = list(graph.read_labels(est_lines))
+    est_codes, _ = graph.load_labels(est_lines, order)
+    with open(_resolve_path(truth)) as fh:
+        tru_codes, _ = graph.load_labels(fh, order)
     K = k or max(est_codes.max(), tru_codes.max())
     ham = metrics.hamming_error(est_codes, tru_codes, int(K))
     payload = {"n": len(order), "K": int(K), "mismatches": ham.mismatches,
@@ -314,33 +315,6 @@ def eval_cmd(estimated, truth, k, as_json, out):
     else:
         _emit("\n".join(f"{key} = {value}" for key, value in payload.items()),
               out)
-
-
-def _read_label_map(fh):
-    table = {}
-    for line_no, raw in enumerate(fh, start=1):
-        line = raw.strip()
-        if not line or line[0] in "#%":
-            continue
-        toks = line.replace(",", " ").split()  # detect --csv output works too
-        if toks == ["node", "label"]:
-            continue
-        if len(toks) != 2:
-            raise DataError(f"line {line_no}: expected 'node label'")
-        table[toks[0]] = toks[1]
-    if not table:
-        raise DataError("empty label file")
-    return table
-
-
-def _codes(tokens):
-    seen = {}
-    out = np.empty(len(tokens), dtype=np.int64)
-    for i, tok in enumerate(tokens):
-        if tok not in seen:
-            seen[tok] = len(seen) + 1
-        out[i] = seen[tok]
-    return out
 
 
 if __name__ == "__main__":

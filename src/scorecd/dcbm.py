@@ -15,6 +15,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .cluster import Labeling
+from .eigen import _lead_sign, _magnitude_order
 from .embed import RatioMatrix
 from .errors import DegeneracyError, ModelValidityError
 from .graph import Graph
@@ -209,18 +210,14 @@ def permuted_theta(pattern, n, seed):
     return rng.permutation(pattern.generate(n))
 
 
-def _community_norms(p, labels):
-    norms = np.zeros(p.K)
-    for k in range(p.K):
-        norms[k] = np.linalg.norm(p.theta[labels.labels == k + 1])
+def _community_matrix(p, labels):
+    """Per-community theta norms, D = diag(norms / ||theta||) and D A D."""
+    norms = np.array([np.linalg.norm(p.theta[labels.labels == k + 1])
+                      for k in range(p.K)])
     if norms.min() == 0:
         raise DegeneracyError("a community has zero total degree intensity")
-    return norms
-
-
-def _magnitude_order(values):
-    return sorted(range(len(values)),
-                  key=lambda i: (-abs(values[i]), values[i] < 0))
+    D = np.diag(norms / np.linalg.norm(p.theta))
+    return norms, D, D @ p.A @ D
 
 
 def population_spectrum(p, labels):
@@ -229,10 +226,7 @@ def population_spectrum(p, labels):
     Requires the eigenvalues of D A D to be simple (adjacent gap above 1e-12).
     """
     _check_labels(p, labels)
-    comm_norms = _community_norms(p, labels)
-    theta_norm = np.linalg.norm(p.theta)
-    D = np.diag(comm_norms / theta_norm)
-    dad = D @ p.A @ D
+    comm_norms, D, dad = _community_matrix(p, labels)
     mu, avec = np.linalg.eigh(dad)
     if p.K > 1 and np.min(np.diff(np.sort(mu))) < DAD_GAP_TOL:
         raise DegeneracyError(
@@ -244,15 +238,11 @@ def population_spectrum(p, labels):
 
     lab0 = labels.labels - 1
     eta = (avec[lab0, :] / comm_norms[lab0, None]) * p.theta[:, None]
-    # fix signs: largest-magnitude entry of each eta positive, a flipped to match
-    for k in range(p.K):
-        col = eta[:, k]
-        i = int(np.flatnonzero(np.abs(col) == np.abs(col).max())[0])
-        if col[i] < 0:
-            eta[:, k] = -col
-            avec[:, k] = -avec[:, k]
-    return PopulationSpectrum(D=D, dad=dad, lambdas=theta_norm ** 2 * mu,
-                              a_vectors=avec, eta_vectors=eta)
+    # largest-magnitude entry of each eta positive, a flipped to match
+    signs = np.array([_lead_sign(eta[:, k]) for k in range(p.K)])
+    return PopulationSpectrum(D=D, dad=dad,
+                              lambdas=np.linalg.norm(p.theta) ** 2 * mu,
+                              a_vectors=avec * signs, eta_vectors=eta * signs)
 
 
 def r0_vector(a, b, c, d1, d2):
@@ -311,10 +301,7 @@ def diagnostics(p, labels):
     tmin = float(theta.min())
     tmax = float(theta.max())
 
-    comm_norms = _community_norms(p, labels)
-    theta_norm = math.sqrt(sq)
-    D = np.diag(comm_norms / theta_norm)
-    dad = D @ p.A @ D
+    comm_norms, _, dad = _community_matrix(p, labels)
     gap = dad_eigengap(dad)
 
     err_n = (cube3 / sq ** 3) * (inv_sum + (logn / tmin) * (l1 / sq) ** 2)
@@ -325,10 +312,7 @@ def diagnostics(p, labels):
     # oscillation of theta^{-1} eta_1: community-level values a_1(k)/||theta^(k)||
     mu, avec = np.linalg.eigh(dad)
     a1 = avec[:, _magnitude_order(mu)[0]]
-    i = int(np.flatnonzero(np.abs(a1) == np.abs(a1).max())[0])
-    if a1[i] < 0:
-        a1 = -a1
-    vals = a1 / comm_norms
+    vals = _lead_sign(a1) * a1 / comm_norms
     osc = float(vals.max() / vals.min()) if vals.min() > 0 else math.inf
 
     regularity_ratio = logn * tmax * l1 / sq ** 2

@@ -1,18 +1,20 @@
 """Leading eigenpairs (largest magnitude) of a symmetric linear operator.
 
 "Leading" compares magnitudes, ignoring sign, so both ends of the spectrum
-matter: adjacency matrices routinely carry large negative eigenvalues.  The
-solver is a Lanczos iteration with full reorthogonalization; Ritz pairs from
-the whole tridiagonal spectrum are pooled and the K largest by magnitude kept,
-with converged vectors locked (deflated) between restarts.  Small problems
-(n <= 512) go through a dense symmetric eigendecomposition instead, which also
-serves as the exactness reference in the test suite.
+matter: adjacency matrices routinely carry large negative eigenvalues.  Large
+problems go through ARPACK's implicitly restarted Lanczos
+(`scipy.sparse.linalg.eigsh`, which="LM") from a seeded start vector.  Small
+problems (n <= 512, or K >= n - 1, which ARPACK cannot do) go through a dense
+symmetric eigendecomposition instead, which also serves as the exactness
+reference in the test suite.  Both paths recompute every residual and share
+one ordering and one sign convention.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from .errors import NonConvergenceError
 
@@ -30,7 +32,7 @@ class EigenPair:
 
 @dataclass(frozen=True, eq=False)
 class Spectrum:
-    """Eigenpairs sorted by descending |value|; positive first on exact ties."""
+    """Eigenpairs sorted by descending |value|; positive first on ties."""
 
     pairs: list
     tol: float
@@ -49,177 +51,90 @@ class Spectrum:
 
 
 def _as_operator(op):
-    """Normalize the accepted operator kinds to (n, matvec, densifier)."""
+    """The float matrix (CSR or dense ndarray) behind an accepted operator."""
     if hasattr(op, "adjacency"):  # Graph
-        mat = op.adjacency.astype(float)
-        return mat.shape[0], mat.__matmul__, lambda: mat.toarray()
+        op = op.adjacency
     if sp.issparse(op):
-        mat = op.tocsr().astype(float)
-        return mat.shape[0], mat.__matmul__, lambda: mat.toarray()
+        return op.tocsr().astype(float)
     if isinstance(op, np.ndarray):
-        mat = np.asarray(op, dtype=float)
-        return mat.shape[0], mat.__matmul__, lambda: mat
-    if hasattr(op, "matvec") and hasattr(op, "shape"):
-        n = op.shape[0]
-        return n, op.matvec, lambda: np.column_stack(
-            [op.matvec(col) for col in np.eye(n)])
+        return np.asarray(op, dtype=float)
     raise TypeError(f"unsupported operator type: {type(op).__name__}")
 
 
-def _fix_sign(v):
-    """Make the largest-magnitude entry positive (lowest index on exact ties)."""
-    a = np.abs(v)
-    i = int(np.flatnonzero(a == a.max())[0])
-    return -v if v[i] < 0 else v
+def _lead_sign(v):
+    """The sign (+-1.0) that makes v's largest-magnitude entry positive.
 
-
-def _magnitude_order(values):
-    """Indices sorting values by descending |value|, positive first on ties."""
-    return sorted(range(len(values)),
-                  key=lambda i: (-abs(values[i]), values[i] < 0))
-
-
-def _spectrum_from(values, vectors, matvec, tol):
-    pairs = []
-    for val, vec in zip(values, vectors):
-        vec = _fix_sign(vec)
-        res = float(np.linalg.norm(matvec(vec) - val * vec))
-        pairs.append(EigenPair(value=float(val), vector=vec, residual=res))
-    return Spectrum(pairs=pairs, tol=tol)
-
-
-def _dense_leading(matvec, dense, K, tol):
-    vals, vecs = np.linalg.eigh(dense())
-    order = _magnitude_order(vals)[:K]
-    return _spectrum_from(vals[order], [vecs[:, i] for i in order], matvec, tol)
-
-
-def _krylov(matvec, v0, m, deflate, rng):
-    """m-step Lanczos with full reorthogonalization against Q and `deflate`.
-
-    Returns the basis Q (n x m') and the tridiagonal coefficients.  On
-    breakdown the build continues from a fresh random direction orthogonal to
-    everything seen so far, so an invariant subspace cannot stall the sweep.
+    On exact magnitude ties the lowest index decides.
     """
-    n = v0.size
-    Q = np.zeros((n, m))
-    alphas = np.zeros(m)
-    betas = np.zeros(max(m - 1, 0))
+    a = np.abs(v)
+    return -1.0 if v[int(np.flatnonzero(a == a.max())[0])] < 0 else 1.0
 
-    def project_out(x):
-        if deflate.shape[1]:
-            x = x - deflate @ (deflate.T @ x)
-        return x
 
-    q = project_out(v0)
-    nrm = np.linalg.norm(q)
-    if nrm < 1e-14:
-        q = project_out(rng.standard_normal(n))
-        nrm = np.linalg.norm(q)
-    q /= nrm
+def _magnitude_order(values, tol=0.0):
+    """Indices sorting values by descending |value|, positive first on ties.
 
-    k = 0
-    while k < m:
-        Q[:, k] = q
-        u = matvec(q)
-        alphas[k] = q @ u
-        r = u - alphas[k] * q
-        if k > 0:
-            r -= betas[k - 1] * Q[:, k - 1]
-        # full reorthogonalization, twice for safety
-        for _ in range(2):
-            r -= Q[:, :k + 1] @ (Q[:, :k + 1].T @ r)
-            r = project_out(r)
-        k += 1
-        if k == m:
-            break
-        beta = np.linalg.norm(r)
-        if beta < 1e-12 * max(1.0, abs(alphas[:k]).max()):
-            # invariant subspace hit: restart the chain from a random direction
-            r = project_out(rng.standard_normal(n))
-            r -= Q[:, :k] @ (Q[:, :k].T @ r)
-            beta_new = np.linalg.norm(r)
-            if beta_new < 1e-14:  # space exhausted
-                return Q[:, :k], alphas[:k], betas[:k - 1]
-            betas[k - 1] = 0.0
-            q = r / beta_new
-        else:
-            betas[k - 1] = beta
-            q = r / beta
-    return Q, alphas, betas
+    Magnitudes within tol * max(1, |value|) of the largest one in their run
+    tie, so the +lambda of a bipartite graph's +-lambda pair comes first even
+    when rounding makes |-lambda| the larger.
+    """
+    order = sorted(range(len(values)), key=lambda i: -abs(values[i]))
+    out, start = [], 0
+    for j in range(1, len(order) + 1):
+        top = abs(values[order[start]])
+        if j == len(order) or top - abs(values[order[j]]) > tol * max(1.0, top):
+            out += sorted(order[start:j], key=lambda i: values[i] < 0)
+            start = j
+    return out
 
 
 def leading_eigs(op, K, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER, seed=0,
                  method="auto"):
     """The K leading (largest-|lambda|) eigenpairs of a symmetric operator.
 
-    `op` may be a Graph, a scipy sparse matrix, a dense ndarray, or any object
-    with `matvec` and `shape`.  Symmetry is the caller's responsibility.  Each
-    returned vector has unit norm, residual ||A v - lambda v|| <= tol *
-    max(1, |lambda|), and its largest-magnitude entry made positive.  The
-    starting vector is seeded uniform random, so results are reproducible.
-    `method` forces the 'dense' or 'lanczos' path; 'auto' uses dense for
-    n <= 512.
+    `op` may be a Graph, a scipy sparse matrix or a dense ndarray.  Symmetry
+    is the caller's responsibility.  Each returned vector has unit norm,
+    residual ||A v - lambda v|| <= tol * max(1, |lambda|) (recomputed here;
+    NonConvergenceError otherwise), and its largest-magnitude entry made
+    positive.  The iterative path starts ARPACK from a seeded uniform random
+    vector, so results are reproducible, and gives up after `max_iter`
+    restarts.  `method` forces the 'dense' or 'lanczos' path; 'auto' uses
+    dense for n <= 512.  K >= n - 1 always goes dense.
     """
-    n, matvec, dense = _as_operator(op)
+    mat = _as_operator(op)
+    n = mat.shape[0]
     if not 1 <= K <= n:
         raise ValueError(f"K must be in [1, {n}], got {K}")
     if method not in ("auto", "dense", "lanczos"):
         raise ValueError(f"unknown method {method!r}")
-    if method == "dense" or (method == "auto" and n <= DENSE_CUTOFF):
-        return _dense_leading(matvec, dense, K, tol)
+    if method == "dense" or K >= n - 1 or (method == "auto"
+                                           and n <= DENSE_CUTOFF):
+        vals, vecs = np.linalg.eigh(mat.toarray() if sp.issparse(mat) else mat)
+    else:
+        v0 = np.random.default_rng(seed).random(n)
+        try:
+            vals, vecs = spla.eigsh(mat, k=K, which="LM", tol=tol, v0=v0,
+                                    maxiter=max_iter)
+        except spla.ArpackNoConvergence as exc:
+            found = exc.eigenvectors.shape[1]
+            residuals = np.full(K, np.inf)
+            residuals[:found] = np.linalg.norm(
+                mat @ exc.eigenvectors - exc.eigenvectors * exc.eigenvalues,
+                axis=0)
+            raise NonConvergenceError(
+                f"eigensolver did not reach tol={tol:g} within {max_iter} "
+                f"restarts ({found} of {K} pairs converged; residuals: "
+                f"{np.array2string(residuals, precision=3)})",
+                residuals=residuals) from None
 
-    rng = np.random.default_rng(seed)
-    m = min(n, max(2 * K + 20, 40))
-    locked_vals = []
-    locked_vecs = np.zeros((n, 0))
-    v0 = rng.random(n)
-    v0 /= np.linalg.norm(v0)
-    best_residuals = None
-
-    for _ in range(max_iter):
-        budget = min(m, n - locked_vecs.shape[1])
-        Q, alphas, betas = _krylov(matvec, v0, budget, locked_vecs, rng)
-        T = np.diag(alphas)
-        if betas.size:
-            T += np.diag(betas, 1) + np.diag(betas, -1)
-        tvals, tvecs = np.linalg.eigh(T)
-        ritz_vecs = Q @ tvecs
-
-        cand_vals = np.concatenate([np.array(locked_vals), tvals])
-        cand_vecs = np.hstack([locked_vecs, ritz_vecs])
-        order = _magnitude_order(cand_vals)[:K]
-        vals = cand_vals[order]
-        vecs = cand_vecs[:, order]
-
-        residuals = np.array([
-            np.linalg.norm(matvec(vecs[:, i]) - vals[i] * vecs[:, i])
-            for i in range(len(order))])
-        limits = tol * np.maximum(1.0, np.abs(vals))
-        best_residuals = residuals
-        if len(order) == K and np.all(residuals <= limits):
-            return _spectrum_from(vals, [vecs[:, i] for i in range(K)],
-                                  matvec, tol)
-
-        # lock newly converged directions one at a time (modified Gram-Schmidt
-        # against the locked set; duplicates of locked vectors project to ~0)
-        conv = residuals <= limits
-        for i in np.nonzero(conv)[0]:
-            w = vecs[:, i].copy()
-            for _ in range(2):
-                if locked_vecs.shape[1]:
-                    w -= locked_vecs @ (locked_vecs.T @ w)
-            nrm = np.linalg.norm(w)
-            if nrm > 0.5:
-                locked_vecs = np.hstack([locked_vecs, (w / nrm)[:, None]])
-                locked_vals.append(vals[i])
-        # restart rich in every unconverged direction
-        bad = np.nonzero(~conv)[0]
-        v0 = vecs[:, bad].sum(axis=1) if bad.size else rng.random(n)
-        nrm = np.linalg.norm(v0)
-        v0 = rng.standard_normal(n) if nrm < 1e-14 else v0 / nrm
-
-    raise NonConvergenceError(
-        f"eigensolver did not reach tol={tol:g} within {max_iter} restarts "
-        f"(best residuals: {np.array2string(best_residuals, precision=3)})",
-        residuals=best_residuals)
+    order = _magnitude_order(vals, tol)[:K]
+    vals = vals[order]
+    vecs = vecs[:, order] * [_lead_sign(vecs[:, i]) for i in order]
+    residuals = np.linalg.norm(mat @ vecs - vecs * vals, axis=0)
+    if np.any(residuals > tol * np.maximum(1.0, np.abs(vals))):
+        raise NonConvergenceError(
+            f"eigenpairs miss tol={tol:g} (residuals: "
+            f"{np.array2string(residuals, precision=3)})", residuals=residuals)
+    pairs = [EigenPair(value=float(val), vector=vecs[:, k],
+                       residual=float(residuals[k]))
+             for k, val in enumerate(vals)]
+    return Spectrum(pairs=pairs, tol=tol)

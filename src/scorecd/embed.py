@@ -50,6 +50,10 @@ def score_ratio(spectrum, T_n=None):
     denominator is exactly zero are an error (extract the giant component
     first: on a connected graph the top eigenvector has no zero entries);
     denominators below 1e-300 in magnitude clip to +-T_n by numerator sign.
+    So is a first vector with entries of both signs, which is not a Perron
+    vector; entries within sqrt(tol) of zero, relative to the largest, are
+    solver noise (the zeros of a disconnected graph's Perron vector) and
+    carry no sign.
     """
     K = len(spectrum)
     if K < 2:
@@ -61,6 +65,12 @@ def score_ratio(spectrum, T_n=None):
         raise DegeneracyError(
             "leading eigenvector has exact zero entries; run on the giant "
             "component so the Perron vector is entrywise nonzero")
+    noise = math.sqrt(spectrum.tol) * np.abs(lead).max()
+    if lead.min() < -noise and lead.max() > noise:
+        raise DegeneracyError(
+            "leading eigenvector has entries of both signs, so it is not the "
+            "Perron vector and ratios over it are meaningless; run on the "
+            "giant component of a graph with nonnegative weights")
     if T_n is None:
         T_n = math.log(n)
     if not T_n > 0:
@@ -104,8 +114,7 @@ def opca_embed(spectrum):
     return Embedding(points=spectrum.vectors.copy(), method="opca")
 
 
-def npca_embed(g, K, tol=eigen.DEFAULT_TOL, max_iter=eigen.DEFAULT_MAX_ITER,
-               seed=0):
+def npca_embed(g, K, seed=0):
     """Leading-eigenvector rows of D^{-1/2} X D^{-1/2} (normalized PCA).
 
     D is the degree diagonal of `g`; every node must have degree >= 1, so
@@ -118,6 +127,5 @@ def npca_embed(g, K, tol=eigen.DEFAULT_TOL, max_iter=eigen.DEFAULT_MAX_ITER,
     inv_sqrt = 1.0 / np.sqrt(d)
     normalized = g.adjacency.astype(float).multiply(inv_sqrt[:, None]) \
                                           .multiply(inv_sqrt[None, :]).tocsr()
-    spectrum = eigen.leading_eigs(normalized, K, tol=tol, max_iter=max_iter,
-                                  seed=seed)
+    spectrum = eigen.leading_eigs(normalized, K, seed=seed)
     return Embedding(points=spectrum.vectors, method="npca")

@@ -34,9 +34,6 @@ class Graph:
         """Degree vector d, d(i) = number of neighbors of i."""
         return np.asarray(self.adjacency.sum(axis=1)).ravel().astype(np.int64)
 
-    def matvec(self, x):
-        return self.adjacency @ x
-
     def neighbors(self, i):
         a = self.adjacency
         return a.indices[a.indptr[i]:a.indptr[i + 1]]
@@ -67,15 +64,14 @@ def from_edges(edges, n, original_ids=None):
     return Graph(n=n, adjacency=adj, original_ids=tuple(original_ids))
 
 
-def load_edge_list(source, directed_collapse=False):
+def load_edge_list(source):
     """Parse whitespace-separated edge-list text into an undirected Graph.
 
     `source` is an iterable of lines (an open file works).  Lines starting with
     '#' or '%' and blank lines are skipped.  Every other line must hold exactly
     two node tokens.  Tokens are arbitrary strings, remapped to dense indices in
     first-appearance order.  Duplicate and reversed edges always merge and
-    self-loops are dropped; `directed_collapse` documents that the source lists
-    directed arcs (the polblogs hyperlinks, say) but does not change behavior.
+    self-loops are dropped.
     """
     index = {}
     ids = []
@@ -141,22 +137,41 @@ def remove_isolated(g):
     return _induced_subgraph(g, keep)
 
 
-def load_labels(source, id_order):
-    """Read ground-truth labels ("node_token label_token" per line).
+def read_labels(source):
+    """Parse a label file into a {node_token: label_token} dict in file order.
 
-    Returns an integer label vector aligned with `id_order` (labels coded
-    1..K by first appearance along that order) plus the token-to-code map.
-    Unlabeled nodes are an error.
+    One "node label" pair per line, separated by whitespace or a comma, so the
+    `node,label` CSV that `detect --csv` writes reads back; that header line,
+    blank lines and lines starting with '#' or '%' are skipped.  A node listed
+    twice with different labels is an error, as is a file with no pairs.
     """
     table = {}
     for line_no, raw in enumerate(source, start=1):
         line = raw.strip()
         if not line or line[0] in "#%":
             continue
-        toks = line.split()
+        toks = line.replace(",", " ").split()
         if len(toks) != 2:
             raise ParseError(f"expected 'node label', got: {line!r}", line_no=line_no)
-        table[toks[0]] = toks[1]
+        if not table and toks == ["node", "label"]:
+            continue
+        node, lab = toks
+        if table.setdefault(node, lab) != lab:
+            raise ParseError(f"node {node!r} labeled both {table[node]!r} and "
+                             f"{lab!r}", line_no=line_no)
+    if not table:
+        raise DataError("empty label file: no 'node label' pairs found")
+    return table
+
+
+def load_labels(source, id_order):
+    """Read ground-truth labels (see read_labels for the file format).
+
+    Returns an integer label vector aligned with `id_order` (labels coded
+    1..K by first appearance along that order) plus the token-to-code map.
+    Unlabeled nodes are an error.
+    """
+    table = read_labels(source)
     missing = [str(t) for t in id_order if str(t) not in table]
     if missing:
         raise DataError(f"{len(missing)} nodes have no ground-truth label "

@@ -69,7 +69,7 @@ def test_criterion_2_web_blogs(capsys):
                     "SCORE_DATA_DIR)")
     t0 = time.perf_counter()
     with open(edge_path) as fh:
-        g_raw = load_edge_list(fh, directed_collapse=True)
+        g_raw = load_edge_list(fh)
     g, _ = giant_component(g_raw)
     size_ok = g.n == 1222 and g.num_edges == 16714
     if label_path is None:

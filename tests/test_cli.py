@@ -161,3 +161,37 @@ def test_eval_command(tmp_path):
     payload = json.loads(res.output)
     assert payload["mismatches"] == 1
     assert payload["n"] == 4
+
+
+def test_detect_reads_back_its_csv_labels(tmp_path):
+    est = tmp_path / "est.csv"
+    res = run("detect", "--input", "builtin:karate", "--k", "2", "--csv",
+              "--out", str(est))
+    assert res.exit_code == 0
+    res = run("detect", "--input", "builtin:karate", "--k", "2",
+              "--labels", str(est), "--json")
+    assert res.exit_code == 0
+    assert json.loads(res.output)["mismatches"] == 0
+
+
+def test_conflicting_duplicate_label_is_data_error(tmp_path):
+    truth = tmp_path / "truth.txt"
+    truth.write_text("a 1\nb 1\na 1\nc 2\nd 2\nb 2\n")
+    est = tmp_path / "est.txt"
+    est.write_text("a x\nb x\nc y\nd y\n")
+    result = CliRunner().invoke(main, ["eval", "--estimated", str(est),
+                                       "--truth", str(truth)])
+    assert result.exit_code == 3
+    assert "line 6" in result.output and "'b'" in result.output
+
+
+def test_eval_scores_the_estimated_nodes(tmp_path):
+    # detect labels only the giant component; the truth may cover more nodes
+    truth = tmp_path / "truth.txt"
+    truth.write_text("a 1\nb 1\nc 2\nd 2\ne 2\n")
+    est = tmp_path / "est.csv"
+    est.write_text("node,label\na,1\nb,2\nc,2\n")
+    res = run("eval", "--estimated", str(est), "--truth", str(truth), "--json")
+    payload = json.loads(res.output)
+    assert payload["n"] == 3
+    assert payload["mismatches"] == 1

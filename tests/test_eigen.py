@@ -4,7 +4,7 @@ import pytest
 from scorecd import (DCBMParams, block_labels, build_omega, leading_eigs,
                      sample_adjacency)
 from scorecd.errors import NonConvergenceError
-from scorecd.graph import giant_component
+from scorecd.graph import from_edges, giant_component
 
 
 def dense_oracle(M, K):
@@ -92,6 +92,17 @@ def test_perron_on_connected_graph(rng):
     assert (spec.pairs[0].vector > 0).all()
 
 
+@pytest.mark.parametrize("n,cycle", [(4, False), (5, False), (12, True)])
+def test_perron_pair_first_on_bipartite_ties(n, cycle):
+    # +-lambda tie: rounding may make |-lambda| the larger, but the Perron
+    # pair must still come first
+    edges = [(i, i + 1) for i in range(n - 1)] + ([(n - 1, 0)] if cycle else [])
+    spec = leading_eigs(from_edges(edges, n), K=2)
+    assert spec.values[0] > 0
+    assert (spec.pairs[0].vector > 0).all()
+    assert spec.values[1] == pytest.approx(-spec.values[0])
+
+
 def test_argument_and_convergence_errors(rng):
     M = rng.standard_normal((40, 40))
     M = (M + M.T) / 2
@@ -105,8 +116,17 @@ def test_argument_and_convergence_errors(rng):
     assert err.value.residuals is not None
 
 
+def test_arpack_restart_budget_is_reported():
+    # a long cycle's clustered spectrum cannot converge in one restart
+    n = 600
+    g = from_edges([(i, (i + 1) % n) for i in range(n)], n)
+    with pytest.raises(NonConvergenceError, match="within 1 restarts") as err:
+        leading_eigs(g, K=2, max_iter=1)
+    assert err.value.residuals.shape == (2,)
+
+
 def test_lanczos_handles_disconnected_blocks():
-    # block-diagonal graph: invariant subspaces force deflation restarts
+    # block-diagonal graph: the leading pairs live in different blocks
     blocks = []
     rng = np.random.default_rng(5)
     for size in (300, 200, 100):

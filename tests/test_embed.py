@@ -53,6 +53,16 @@ def test_zero_denominator_is_degenerate():
         score_ratio(spectrum_of(np.column_stack([v1, v2])))
 
 
+def test_mixed_sign_first_vector_is_degenerate():
+    v2 = np.array([0.5, 0.5, -0.5, -0.5])
+    v1 = np.array([0.5, -0.5, 0.5, -0.5])  # not a Perron vector
+    with pytest.raises(DegeneracyError, match="both signs"):
+        score_ratio(spectrum_of(np.column_stack([v1, v2])))
+    # solver-noise zeros (a disconnected graph's Perron vector) carry no sign
+    v1 = np.array([0.7, 0.7, 1e-17, -1e-17])
+    assert score_ratio(spectrum_of(np.column_stack([v1, v2]))).R.shape == (4, 1)
+
+
 def test_ratio_vector_needs_two_columns():
     spec = spectrum_of(np.random.default_rng(0).random((5, 3)))
     with pytest.raises(ValueError):
