@@ -103,7 +103,9 @@ def main():
               help="1-D ratio threshold t, or 'auto' (K=2, method=score).")
 @click.option("--tn", type=float, default=None,
               help="Ratio truncation level; default log(n).")
-@click.option("--restarts", type=int, default=None, help="k-means restarts.")
+@click.option("--restarts", type=int, default=None,
+              help="Lloyd restarts for k-means (default 100); unused by "
+                   "the exact split of K=2 ratios.")
 @click.option("--seed", type=int, default=0, show_default=True)
 @click.option("--json", "as_json", is_flag=True, help="Machine-readable output.")
 @click.option("--csv", "as_csv", is_flag=True, help="Per-node label rows.")
@@ -175,7 +177,9 @@ def _load_config(preset, config_path):
 @click.option("--seed", type=int, default=None, help="Override master seed.")
 @click.option("--tn", type=float, default=math.inf, show_default="inf",
               help="Ratio truncation during simulation.")
-@click.option("--restarts", type=int, default=None, help="k-means restarts.")
+@click.option("--restarts", type=int, default=None,
+              help="Lloyd restarts for k-means (default 100); unused by "
+                   "the exact split of K=2 ratios.")
 @click.option("--workers", type=int, default=1, show_default=True)
 @click.option("--uniform-clustering", is_flag=True,
               help="Cluster every method with the multi-restart optimizer "

@@ -34,13 +34,6 @@ class Graph:
         """Degree vector d, d(i) = number of neighbors of i."""
         return np.asarray(self.adjacency.sum(axis=1)).ravel().astype(np.int64)
 
-    def neighbors(self, i):
-        a = self.adjacency
-        return a.indices[a.indptr[i]:a.indptr[i + 1]]
-
-    def to_dense(self):
-        return self.adjacency.toarray().astype(float)
-
 
 def from_edges(edges, n, original_ids=None):
     """Build a Graph from an iterable of index pairs (0-based, deduplicated here).

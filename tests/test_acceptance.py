@@ -345,7 +345,7 @@ def test_criterion_9_property_suites(capsys, oracle_instances):
     worst_norm = 0.0
     for s in range(50):
         g = sample_adjacency(params, labels, 4200 + s)
-        noise = g.to_dense() - omega
+        noise = g.adjacency.toarray() - omega
         worst_norm = max(worst_norm,
                          abs(leading_eigs(noise, 1, tol=1e-8).values[0]))
     noise_ok = worst_norm <= bound

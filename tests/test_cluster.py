@@ -113,3 +113,82 @@ def test_threshold_classify():
     assert np.array_equal(lab.labels, [1, 2, 2, 1])  # strict inequality
     assert threshold_classify(np.array([1.0, 2.0]), t=0.5).labels.tolist() == [1, 1]
     assert lab.K == 2
+
+
+def best_cut_cost(x):
+    """Oracle: two-pass cost of every cut of the sorted values, minimized."""
+    s = np.sort(x)
+    best = np.sum((s - s.mean()) ** 2)
+    for m in range(1, s.size):
+        if s[m] > s[m - 1]:
+            lo, hi = s[:m], s[m:]
+            best = min(best, np.sum((lo - lo.mean()) ** 2)
+                       + np.sum((hi - hi.mean()) ** 2))
+    return best
+
+
+@pytest.mark.parametrize("n", [2, 3, 5, 17, 100, 640, 2000])
+@pytest.mark.parametrize("duplicates", [False, True])
+def test_exact_1d_split_is_the_best_cut(n, duplicates):
+    rng = np.random.default_rng(n + 7 * duplicates)
+    x = rng.standard_t(3, size=n)
+    if duplicates:
+        x = np.round(x, 1)  # many ties
+    res = kmeans(x, K=2, restarts=5, seed=3)
+    labels = res.labeling.labels
+    assert res.cost == pytest.approx(best_cut_cost(x), rel=1e-12, abs=1e-12)
+    recomputed = np.sum((x - res.centers[labels - 1, 0]) ** 2)
+    assert res.cost == pytest.approx(recomputed, rel=1e-12, abs=1e-12)
+    assert res.restarts_used == 1
+    assert res.trace == (res.cost,)
+    assert labels[0] == 1
+    for value in np.unique(x):  # equal values are never split
+        assert np.unique(labels[x == value]).size == 1
+
+
+def test_exact_1d_split_of_equal_values():
+    for x in (np.full(6, 2.5), np.array([-1.0])):
+        res = kmeans(x, K=2, seed=4)
+        assert res.cost == 0.0
+        assert set(res.labeling.labels) == {1}
+        assert res.restarts_used == 1 and res.trace == (0.0,)
+
+
+def test_exact_1d_split_beats_best_of_restarts_lloyd():
+    # rounded t(2) draws (default_rng(542), n=38): best of 100 seeded Lloyd
+    # runs stops two nodes away from the optimal split
+    x = np.array([1.37, -0.17, -0.12, -1.46, -2.0, 3.6, -2.05, -0.74, 1.42,
+                  -0.61, -0.18, 2.06, -1.56, 0.61, 1.4, 0.22, 1.33, 1.64,
+                  3.69, 0.2, 0.33, -0.17, 1.36, 0.16, 0.82, 0.91, -0.07,
+                  0.47, -0.4, 2.28, -0.74, -1.79, 0.77, 0.57, -0.05, -0.21,
+                  -1.59, -0.03])
+    exact = kmeans(x, K=2, restarts=100, seed=0)
+    # a zero second coordinate changes no distance, so Lloyd runs as in 1-D
+    lloyd = kmeans(np.column_stack([x, np.zeros_like(x)]), K=2, restarts=100,
+                   seed=0)
+    assert exact.cost == pytest.approx(26.98112115942029, rel=1e-12)
+    assert lloyd.cost == pytest.approx(27.05445476923077, rel=1e-12)
+    assert np.sum(exact.labeling.labels != lloyd.labeling.labels) == 2
+
+
+# labels, restarts_used, len(trace) and cost of 20 k-means++ Lloyd restarts
+# (K=3, seed 11), recorded before the loop was vectorized with bincount
+LLOYD_GOLDEN = {
+    2: ("121323313321313332223331322123113113232211333331211123213331313133"
+        "221322111313133331333311", 20, 7, 113.04563054500767),
+    3: ("111122211113131312312121211111212311131111212111213332111213122111"
+        "131331112111333313213311", 20, 7, 491.4088107396823),
+}
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_lloyd_matches_recorded_runs(d):
+    rng = np.random.default_rng(5 + d)
+    centers = rng.normal(scale=2.0, size=(4, d))
+    pts = centers[rng.integers(4, size=90)] + rng.standard_normal((90, d))
+    res = kmeans(pts, K=3, restarts=20, seed=11)
+    labels, used, iters, cost = LLOYD_GOLDEN[d]
+    assert "".join(map(str, res.labeling.labels)) == labels
+    assert res.restarts_used == used
+    assert len(res.trace) == iters
+    assert res.cost == pytest.approx(cost, rel=1e-12)

@@ -289,6 +289,6 @@ def test_noise_norm_within_bound_smoke(rng):
     bound = diagnostics(params, labels).wnorm_bound
     for seed in range(3):
         g = sample_adjacency(params, labels, seed)
-        noise = g.to_dense() - omega
+        noise = g.adjacency.toarray() - omega
         norm = abs(leading_eigs(noise, K=1).values[0])
         assert norm <= bound

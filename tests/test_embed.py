@@ -117,7 +117,7 @@ def test_npca_regular_graph_matches_plain_eigenvectors():
     assert np.all(g.degrees() == 3)
     spec = leading_eigs(g, K=2)
     # top two eigenvalues are simple here, so vectors match up to sign
-    full = np.linalg.eigvalsh(g.to_dense())
+    full = np.linalg.eigvalsh(g.adjacency.toarray())
     for v in spec.values:
         assert np.sum(np.abs(full - v) < 1e-6) == 1
     emb = npca_embed(g, K=2)

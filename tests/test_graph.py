@@ -24,7 +24,7 @@ def bfs_component_sizes(g):
         comp[start] = cid
         while queue:
             u = queue.pop()
-            for v in g.neighbors(u):
+            for v in g.adjacency[u].indices:
                 if comp[v] < 0:
                     comp[v] = cid
                     queue.append(v)
@@ -138,10 +138,10 @@ def test_remove_isolated_keeps_surviving_edges(rng):
                    n=35)
     sub, idx = remove_isolated(g)
     old_edges = {(min(i, j), max(i, j))
-                 for i in range(g.n) for j in g.neighbors(i)}
+                 for i in range(g.n) for j in g.adjacency[i].indices}
     back = {int(new): int(old) for new, old in enumerate(idx)}
     new_edges = {(min(back[i], back[j]), max(back[i], back[j]))
-                 for i in range(sub.n) for j in sub.neighbors(i)}
+                 for i in range(sub.n) for j in sub.adjacency[i].indices}
     assert new_edges == old_edges  # every endpoint of an edge has degree >= 1
 
 
