@@ -99,8 +99,9 @@ def main():
 @click.option("--k", "k", type=int, required=True, help="Community count.")
 @click.option("--method", default="score", show_default=True,
               help="score, scoreq:<q>, opca or npca.")
-@click.option("--threshold", default=None,
-              help="1-D ratio threshold t, or 'auto' (K=2, method=score).")
+@click.option("--threshold", type=float, default=None,
+              help="1-D ratio threshold t instead of k-means (K=2, "
+                   "method=score).")
 @click.option("--tn", type=float, default=None,
               help="Ratio truncation level; default log(n).")
 @click.option("--restarts", type=int, default=None,
@@ -180,7 +181,6 @@ def _load_config(preset, config_path):
 @click.option("--restarts", type=int, default=None,
               help="Lloyd restarts for k-means (default 100); unused by "
                    "the exact split of K=2 ratios.")
-@click.option("--workers", type=int, default=1, show_default=True)
 @click.option("--uniform-clustering", is_flag=True,
               help="Cluster every method with the multi-restart optimizer "
                    "(by default the normalized-PCA baseline is scored with "
@@ -190,14 +190,14 @@ def _load_config(preset, config_path):
 @click.option("--csv", "as_csv", is_flag=True, help="Per-repetition rows.")
 @click.option("--out", default=None, help="Write output to a file.")
 @_guard
-def experiment(preset, config_path, reps, seed, tn, restarts, workers,
+def experiment(preset, config_path, reps, seed, tn, restarts,
                uniform_clustering, progress, as_json, as_csv, out):
     """Run a simulation preset (1, 2a-2d, 3, 4a-4c) or a custom config."""
     cfg = _load_config(preset, config_path)
     tick = (lambda r: click.echo(".", err=True, nl=False)) if progress else None
     clustering = {"npca": {}} if uniform_clustering else None
     report = experiments.run_experiment(cfg, seed=seed, reps=reps, T_n=tn,
-                                        restarts=restarts, workers=workers,
+                                        restarts=restarts,
                                         progress=tick, clustering=clustering)
     if progress:
         click.echo("", err=True)

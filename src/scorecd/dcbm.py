@@ -12,13 +12,12 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
 from .cluster import Labeling
 from .eigen import _lead_sign, _magnitude_order
 from .embed import RatioMatrix
 from .errors import DegeneracyError, ModelValidityError
-from .graph import Graph
+from .graph import from_edges
 from .seeding import as_rng
 
 DENSE_OMEGA_LIMIT = 4096
@@ -33,7 +32,6 @@ class DCBMParams:
     A: np.ndarray
     theta: np.ndarray
     sizes: tuple
-    g0: float = 0.999
 
     def __post_init__(self):
         A = np.asarray(self.A, dtype=float)
@@ -141,16 +139,9 @@ def sample_adjacency(p, labels, seed):
         if hits.size:
             rows.append(np.full(hits.size, i, dtype=np.int64))
             cols.append(hits.astype(np.int64) + i + 1)
-    if rows:
-        iu = np.concatenate(rows)
-        ju = np.concatenate(cols)
-    else:
-        iu = ju = np.zeros(0, dtype=np.int64)
-    data = np.ones(2 * iu.size, dtype=np.int8)
-    adj = sp.csr_matrix((data, (np.concatenate([iu, ju]),
-                                np.concatenate([ju, iu]))), shape=(n, n))
-    adj.sort_indices()
-    return Graph(n=n, adjacency=adj)
+    pairs = (np.column_stack([np.concatenate(rows), np.concatenate(cols)])
+             if rows else ())
+    return from_edges(pairs, n)
 
 
 _THETA_PARAM_NAMES = {

@@ -12,7 +12,6 @@ bit-for-bit, in any execution order.
 import json
 import math
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -229,14 +228,13 @@ def _run_repetition(cfg, params_A, sizes, truth, master, r, T_n, restarts,
 
 
 def run_experiment(cfg, seed=None, reps=None, T_n=math.inf,
-                   restarts=None, workers=1, progress=None, clustering=None):
+                   restarts=None, progress=None, clustering=None):
     """Run an experiment config; returns the aggregated RunReport.
 
     The ratio truncation is off by default (T_n = inf), matching how the
-    simulations are scored; pass a finite T_n to re-enable it.  `workers`
-    sizes the repetition thread pool; results are identical at any width.
-    `clustering` maps canonical method names to kmeans keyword overrides,
-    layered over CLUSTERING_DEFAULTS.
+    simulations are scored; pass a finite T_n to re-enable it.  `clustering`
+    maps canonical method names to kmeans keyword overrides, layered over
+    CLUSTERING_DEFAULTS.
     """
     master = cfg.seed if seed is None else int(seed)
     n_reps = cfg.rep if reps is None else int(reps)
@@ -246,18 +244,12 @@ def run_experiment(cfg, seed=None, reps=None, T_n=math.inf,
     policy = dict(CLUSTERING_DEFAULTS)
     policy.update(clustering or {})
 
-    def one(r):
-        result = _run_repetition(cfg, params_A, sizes, truth, master, r,
-                                 T_n, restarts, policy)
+    per_rep = []
+    for r in range(n_reps):
+        per_rep.append(_run_repetition(cfg, params_A, sizes, truth, master, r,
+                                       T_n, restarts, policy))
         if progress is not None:
             progress(r)
-        return result
-
-    if workers and workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            per_rep = list(pool.map(one, range(n_reps)))
-    else:
-        per_rep = [one(r) for r in range(n_reps)]
 
     n0 = tuple(row[0] for row in per_rep)
     mismatches, rates, means, sds, wall = {}, {}, {}, {}, {}

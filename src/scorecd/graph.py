@@ -36,22 +36,24 @@ class Graph:
 
 
 def from_edges(edges, n, original_ids=None):
-    """Build a Graph from an iterable of index pairs (0-based, deduplicated here).
+    """Build a Graph on nodes 0..n-1 from an m x 2 array-like of index pairs.
 
-    Self-loops are dropped and duplicate/reversed pairs collapse to one edge.
+    Self-loops are dropped and duplicate or reversed pairs collapse to one
+    edge, so the adjacency is symmetric 0/1 (int8) CSR in canonical format.
+    Indices must lie in [0, n); nodes no pair names are isolated.
     """
-    pairs = {(min(i, j), max(i, j)) for i, j in edges if i != j}
-    if pairs:
-        iu, ju = np.array(sorted(pairs), dtype=np.int64).T
-    else:
-        iu = ju = np.zeros(0, dtype=np.int64)
-    rows = np.concatenate([iu, ju])
-    cols = np.concatenate([ju, iu])
-    data = np.ones(rows.size, dtype=np.int8)
-    adj = sp.csr_matrix((data, (rows, cols)), shape=(n, n))
-    adj.sum_duplicates()
+    pairs = np.asarray(edges, dtype=np.int64)
+    if pairs.size == 0:
+        pairs = pairs.reshape(0, 2)
+    if pairs.ndim != 2 or pairs.shape[1] != 2:
+        raise ValueError(f"edges must be an m x 2 array of index pairs, got "
+                         f"shape {pairs.shape}")
+    iu, ju = pairs[pairs[:, 0] != pairs[:, 1]].T
+    adj = sp.csr_matrix((np.ones(2 * iu.size, dtype=np.int8),
+                         (np.concatenate([iu, ju]), np.concatenate([ju, iu]))),
+                        shape=(n, n))
+    # the constructor sums duplicates; int8 sums can wrap, so reset them to 1
     adj.data[:] = 1
-    adj.sort_indices()
     if original_ids is None:
         original_ids = tuple(range(n))
     return Graph(n=n, adjacency=adj, original_ids=tuple(original_ids))
@@ -67,17 +69,7 @@ def load_edge_list(source):
     self-loops are dropped.
     """
     index = {}
-    ids = []
-    edges = []
-
-    def node(tok):
-        i = index.get(tok)
-        if i is None:
-            i = len(ids)
-            index[tok] = i
-            ids.append(tok)
-        return i
-
+    ends = []
     for line_no, raw in enumerate(source, start=1):
         line = raw.strip()
         if not line or line[0] in "#%":
@@ -86,10 +78,12 @@ def load_edge_list(source):
         if len(toks) != 2:
             raise ParseError(f"expected two node tokens, got {len(toks)}: {line!r}",
                              line_no=line_no)
-        edges.append((node(toks[0]), node(toks[1])))
-    if not ids:
+        ends.append(index.setdefault(toks[0], len(index)))
+        ends.append(index.setdefault(toks[1], len(index)))
+    if not index:
         raise DataError("empty edge list: no edges found in input")
-    return from_edges(edges, n=len(ids), original_ids=ids)
+    return from_edges(np.reshape(ends, (-1, 2)), n=len(index),
+                      original_ids=tuple(index))
 
 
 def _induced_subgraph(g, keep):

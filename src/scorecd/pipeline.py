@@ -60,8 +60,8 @@ def run_method(graph, spectrum, method, K, T_n=None, seed=0, restarts=None,
     the ratio, q-norm and ordinary-PCA routes, while 'npca' ignores it and
     decomposes the degree-normalized operator itself.  `threshold` applies
     simple 1-D thresholding instead of k-means (ratio method, K = 2 only);
-    the string 'auto' runs k-means and reports the threshold it implies.
-    `restarts` and `init` tune the clustering step.
+    without it, a score run with K = 2 reports the threshold its k-means
+    split implies.  `restarts` and `init` tune the clustering step.
     """
     kind, q, canonical = parse_method(method)
     if restarts is None:
@@ -75,7 +75,7 @@ def run_method(graph, spectrum, method, K, T_n=None, seed=0, restarts=None,
     ratio = None
     if kind == "score":
         ratio = embed.score_ratio(spectrum, T_n=T_n)
-        if threshold is not None and threshold != "auto":
+        if threshold is not None:
             t = float(threshold)
             return MethodResult(labeling=cluster.threshold_classify(
                 ratio.ratio_vector(), t), method=canonical, ratio=ratio,

@@ -30,6 +30,12 @@ def test_detect_karate_threshold_zero():
     assert json.loads(res.output)["mismatches"] == 1
 
 
+def test_detect_threshold_must_be_a_number():
+    result = CliRunner().invoke(main, ["detect", "--input", "builtin:karate",
+                                       "--k", "2", "--threshold", "auto"])
+    assert result.exit_code == 2
+
+
 def test_detect_csv_labels(tmp_path):
     out = tmp_path / "labels.csv"
     res = run("detect", "--input", "builtin:karate", "--k", "2", "--csv",

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -74,6 +75,25 @@ def test_sample_determinism():
     a = sample_adjacency(params, labels, 7)
     b = sample_adjacency(params, labels, 7)
     assert (a.adjacency != b.adjacency).nnz == 0
+
+
+def test_sample_golden_digest():
+    # preset 1, repetition 0 of the experiment harness's stream: the digests
+    # pin the graph every simulation table is computed from
+    from scorecd.experiments import PRESETS
+    cfg = PRESETS["1"]
+    rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 0]))
+    params = DCBMParams(K=cfg.K, A=cfg.a_matrix(), sizes=cfg.block_sizes(),
+                        theta=permuted_theta(cfg.theta, cfg.n, rng))
+    adj = sample_adjacency(params, block_labels(params.sizes), rng).adjacency
+    assert adj.has_canonical_format and adj.data.dtype == np.int8
+    digests = {}
+    for name in ("indptr", "indices", "data"):
+        arr = np.asarray(getattr(adj, name), dtype=np.int64)
+        digests[name] = hashlib.sha256(arr.tobytes()).hexdigest()[:16]
+    assert digests == {"indptr": "168bdd962efe0aa3",
+                       "indices": "58d01b94b35051bd",
+                       "data": "800514c4f24d8812"}
 
 
 def test_sampling_frequencies_match_block_rates():

@@ -75,11 +75,10 @@ def test_run_experiment_shapes_and_rates():
     assert set(report.wall_clock) == {"score", "opca"}
 
 
-def test_run_experiment_deterministic_and_worker_invariant():
+def test_run_experiment_deterministic():
     a = run_experiment(tiny_config(), restarts=10)
     b = run_experiment(tiny_config(), restarts=10)
-    c = run_experiment(tiny_config(), restarts=10, workers=3)
-    assert a.payload() == b.payload() == c.payload()
+    assert a.payload() == b.payload()
     single = run_experiment(tiny_config(rep=1), restarts=10)
     again = run_experiment(tiny_config(rep=1), restarts=10)
     assert single.payload() == again.payload()

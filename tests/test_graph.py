@@ -13,6 +13,14 @@ def load(text):
     return load_edge_list(io.StringIO(text))
 
 
+def assert_canonical_01(g):
+    adj = g.adjacency
+    assert adj.shape == (g.n, g.n)
+    assert adj.has_canonical_format
+    assert adj.data.dtype == np.int8
+    assert (adj.data == 1).all()
+
+
 def bfs_component_sizes(g):
     """Brute-force BFS labeling used as the connectivity oracle."""
     comp = -np.ones(g.n, dtype=int)
@@ -70,6 +78,43 @@ def test_symmetry_zero_diagonal_degree_sum(rng):
     assert (adj != adj.T).nnz == 0
     assert adj.diagonal().sum() == 0
     assert g.degrees().sum() == 2 * g.num_edges
+
+
+def test_load_edge_list_matches_dense_oracle(rng):
+    # (a, b) 300 times plus (b, a) 212 times: 512 copies of each stored entry,
+    # which sum to 0 in int8; self-loops, and 'solo' appears only in one
+    pairs = [("a", "b")] * 300 + [("b", "a")] * 212 + [("solo", "solo")]
+    for _ in range(400):
+        u, v = (f"t{x}" for x in rng.integers(40, size=2))
+        pairs += [(u, v), (v, u)] if rng.random() < 0.3 else [(u, v)]
+    pairs = [pairs[i] for i in rng.permutation(len(pairs))]
+    g = load("\n".join(f"{u} {v}" for u, v in pairs))
+
+    order = {}
+    for u, v in pairs:
+        order.setdefault(u, len(order))
+        order.setdefault(v, len(order))
+    dense = np.zeros((len(order), len(order)), dtype=np.int8)
+    for u, v in pairs:
+        if u != v:
+            dense[order[u], order[v]] = dense[order[v], order[u]] = 1
+    assert g.original_ids == tuple(order)
+    assert np.array_equal(g.adjacency.toarray(), dense)
+    assert g.degrees()[order["solo"]] == 0
+    assert_canonical_01(g)
+
+
+def test_from_edges_trailing_isolated_nodes_and_no_edges():
+    g = from_edges(np.array([[0, 1], [2, 1], [1, 0]]), n=6)
+    assert np.array_equal(g.degrees(), [1, 2, 1, 0, 0, 0])
+    assert g.original_ids == tuple(range(6))
+    assert_canonical_01(g)
+    for empty in ([], np.zeros((0, 2), dtype=np.int64)):
+        g = from_edges(empty, n=3)
+        assert g.num_edges == 0
+        assert_canonical_01(g)
+    with pytest.raises(ValueError, match="m x 2"):
+        from_edges([(0, 1, 2)], n=3)
 
 
 def test_giant_component_prefers_larger():

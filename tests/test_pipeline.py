@@ -43,15 +43,14 @@ def test_threshold_paths(sampled_graph):
     fixed = run_method(g, spectrum, "score", K=2, threshold=0.0)
     assert fixed.threshold == 0.0
     assert hamming_error(fixed.labeling.labels, truth, K=2).rate < 0.05
-    auto = run_method(g, spectrum, "score", K=2, threshold="auto", seed=3,
-                      restarts=30)
-    assert auto.kmeans is not None
-    assert np.isfinite(auto.threshold)
+    implied = run_method(g, spectrum, "score", K=2, seed=3, restarts=30)
+    assert implied.kmeans is not None
+    assert np.isfinite(implied.threshold)
     # the implied threshold reproduces the k-means split exactly
-    r = auto.ratio.ratio_vector()
-    by_threshold = np.where(r > auto.threshold, 1, 2)
-    same = (by_threshold == auto.labeling.labels).all()
-    flipped = (by_threshold == 3 - auto.labeling.labels).all()
+    r = implied.ratio.ratio_vector()
+    by_threshold = np.where(r > implied.threshold, 1, 2)
+    same = (by_threshold == implied.labeling.labels).all()
+    flipped = (by_threshold == 3 - implied.labeling.labels).all()
     assert same or flipped
 
 
