@@ -7,6 +7,20 @@ sort and a prefix-sum scan of the n - 1 cut points.  Every other shape takes
 the best of `restarts` k-means++-seeded Lloyd runs.  Every restart draws its
 own stream from (seed, restart index), so the result does not depend on
 execution order and is reproducible bit-for-bit.
+
+The Lloyd loop evaluates the textbook formulas, each in one fixed order, and
+reproduces bit for bit the row-wise numpy expressions
+np.sum((x - c) ** 2, axis=1), rng.choice(n, p=d2 / d2.sum()),
+argmin(|x|^2 + x @ (-2 C).T + |c|^2) and np.sum((x - C[labels]) ** 2) that
+define it.  Floating-point addition is not associative, so the order of
+every sum is part of the result: a squared distance adds its d terms in
+numpy's pairwise order (`_row_sums`), the distance matrix is the product
+x @ (-2 C).T plus |x|^2 and then |c|^2, the cost sums the n x d residual
+block in row-major order, and each centroid sum runs over the points in
+index order (`np.bincount`).  Any other order changes last bits, and with
+them near-tied assignments and k-means++ draws.  The identity holds while the
+squared distances are finite; points whose squares overflow give nan
+distances, which argmin and the strict-< compare resolve differently.
 """
 
 from dataclasses import dataclass, field
@@ -45,76 +59,146 @@ class KMeansResult:
     trace: tuple = field(default=())  # winning run's per-iteration costs
 
 
-def _kmeanspp_init(points, K, rng):
-    n = points.shape[0]
-    centers = np.empty((K, points.shape[1]))
-    centers[0] = points[rng.integers(n)]
-    d2 = np.sum((points - centers[0]) ** 2, axis=1)
-    for j in range(1, K):
-        total = d2.sum()
-        if total > 0:
-            idx = rng.choice(n, p=d2 / total)
-        else:
-            idx = rng.integers(n)
-        centers[j] = points[idx]
-        d2 = np.minimum(d2, np.sum((points - centers[j]) ** 2, axis=1))
-    return centers
+def _row_sums(cols):
+    """Row sums of an n x d matrix given as its d columns (a d x n array).
+
+    Each row's d terms are added in the order numpy's pairwise summation
+    adds them in np.sum(matrix, axis=1): one after another below 8 terms,
+    in 8 interleaved partial sums up to 128, halved above.  The sums are
+    therefore bitwise those of np.sum, without its per-row inner loop.
+    """
+    d = len(cols)
+    if d > 128:
+        half = d // 2 - d // 2 % 8
+        return _row_sums(cols[:half]) + _row_sums(cols[half:])
+    if d < 8:
+        total, tail = cols[0].copy(), cols[1:]
+    else:
+        part = [col.copy() for col in cols[:8]]
+        for i in range(8, d - d % 8):
+            part[i % 8] += cols[i]
+        total = (((part[0] + part[1]) + (part[2] + part[3]))
+                 + ((part[4] + part[5]) + (part[6] + part[7])))
+        tail = cols[d - d % 8:]
+    for col in tail:
+        total += col
+    return total
 
 
-def _sample_init(points, K, rng):
-    idx = rng.choice(points.shape[0], size=K, replace=False)
-    return points[idx].astype(float).copy()
+def _weighted_draw(rng, p):
+    """The index rng.choice(p.size, p=p) draws, without its argument checks.
+
+    One uniform double is searched in the normalized cumulative sum, as
+    numpy's Generator.choice does, so index and generator state agree.
+    """
+    cdf = np.cumsum(p)
+    cdf /= cdf[-1]
+    return int(cdf.searchsorted(rng.random(), side="right"))
 
 
-def _assign(points, sq_norms, centers):
-    d2 = (sq_norms[:, None]
-          + points @ (-2.0 * centers).T
-          + np.sum(centers ** 2, axis=1)[None, :])
-    return np.argmin(d2, axis=1)
-
-
-def _move_centers(points, labels, counts, centers):
+def _move_centers(cols, labels, counts, centers):
     """Move each nonempty cluster's center to the mean of its members."""
     full = counts > 0
-    for j in range(points.shape[1]):
-        sums = np.bincount(labels, weights=points[:, j], minlength=counts.size)
-        centers[full, j] = sums[full] / counts[full]
+    for j, col in enumerate(cols):
+        sums = np.bincount(labels, weights=col, minlength=counts.size)
+        np.divide(sums, counts, out=centers[:, j], where=full)
 
 
-def _cost(points, labels, centers):
-    return float(np.sum((points - centers[labels]) ** 2))
+class _Lloyd:
+    """Seeded Lloyd runs on one n x d point set, sharing buffers across runs.
 
+    Per-point passes read a contiguous d x n copy of the coordinates and
+    write into K x n, d x n and n x d buffers allocated once per point set.
+    """
 
-def _lloyd(points, sq_norms, K, rng, init):
-    """One seeded Lloyd run; returns (cost, labels, centers, trace)."""
-    if init == "plusplus":
-        centers = _kmeanspp_init(points, K, rng)
-    else:
-        centers = _sample_init(points, K, rng)
-    trace = []
-    prev = np.inf
-    for _ in range(MAX_LLOYD_ITERS):
-        labels = _assign(points, sq_norms, centers)
-        counts = np.bincount(labels, minlength=K)
-        # an empty cluster re-seeds at the point farthest from its own center
-        for _ in range(K):
-            if counts.all():
-                break
-            gaps = np.sum((points - centers[labels]) ** 2, axis=1)
-            centers[np.argmin(counts)] = points[np.argmax(gaps)]
-            labels = _assign(points, sq_norms, centers)
+    def __init__(self, points, K):
+        n, d = points.shape
+        self.points = points
+        self.K = K
+        self.cols = np.ascontiguousarray(points.T)
+        self.sq_norms = np.sum(points ** 2, axis=1)
+        self.dist = np.empty((K, n))
+        self.nearest = np.empty(n)
+        self.closer = np.empty(n, dtype=bool)
+        self.diff = np.empty((d, n))
+        self.block = np.empty((n, d))
+
+    def _sq_dist(self, center):
+        """|x_i - center|^2 for every point i."""
+        np.subtract(self.cols, center[:, None], out=self.diff)
+        np.square(self.diff, out=self.diff)
+        return _row_sums(self.diff)
+
+    def _plusplus(self, rng):
+        n = self.points.shape[0]
+        centers = np.empty((self.K, self.points.shape[1]))
+        centers[0] = self.points[rng.integers(n)]
+        d2 = self._sq_dist(centers[0])
+        for j in range(1, self.K):
+            total = d2.sum()
+            if total > 0:
+                idx = _weighted_draw(rng, d2 / total)
+            else:
+                idx = rng.integers(n)
+            centers[j] = self.points[idx]
+            np.minimum(d2, self._sq_dist(centers[j]), out=d2)
+        return centers
+
+    def _assign(self, centers):
+        """Index of each point's nearest center, the lowest on ties."""
+        dist = self.dist
+        np.matmul(self.points, (-2.0 * centers).T, out=dist.T)
+        dist += self.sq_norms
+        dist += np.add.reduce(centers * centers, axis=1)[:, None]
+        labels = np.zeros(dist.shape[1], dtype=np.int64)
+        nearest = self.nearest
+        nearest[:] = dist[0]
+        for j in range(1, self.K):
+            np.less(dist[j], nearest, out=self.closer)
+            np.putmask(labels, self.closer, j)
+            np.minimum(nearest, dist[j], out=nearest)
+        return labels
+
+    def _residuals(self, labels, centers):
+        """(x_i - c_label(i))^2 coordinatewise, as the n x d buffer."""
+        block = self.block
+        np.take(centers, labels, axis=0, out=block, mode="clip")
+        np.subtract(self.points, block, out=block)
+        np.square(block, out=block)
+        return block
+
+    def run(self, rng, init):
+        """One seeded Lloyd run; returns (cost, labels, centers, trace)."""
+        points, K = self.points, self.K
+        if init == "plusplus":
+            centers = self._plusplus(rng)
+        else:
+            centers = points[rng.choice(points.shape[0], size=K,
+                                        replace=False)]
+        trace = []
+        prev = np.inf
+        for _ in range(MAX_LLOYD_ITERS):
+            labels = self._assign(centers)
             counts = np.bincount(labels, minlength=K)
-        cost = _cost(points, labels, centers)
+            # an empty cluster re-seeds at the point farthest from its center
+            for _ in range(K):
+                if np.count_nonzero(counts) == K:
+                    break
+                gaps = self._residuals(labels, centers).sum(axis=1)
+                centers[np.argmin(counts)] = points[np.argmax(gaps)]
+                labels = self._assign(centers)
+                counts = np.bincount(labels, minlength=K)
+            cost = float(self._residuals(labels, centers).sum())
+            trace.append(cost)
+            # centroids of this assignment: the next step's start, or the
+            # final centers, so the returned cost stays recomputable
+            _move_centers(self.cols, labels, counts, centers)
+            if cost == 0.0 or prev - cost < REL_IMPROVEMENT * prev:
+                break
+            prev = cost
+        cost = float(self._residuals(labels, centers).sum())
         trace.append(cost)
-        # centroids of this assignment: the next step's start, or the final
-        # centers, so the returned cost stays recomputable
-        _move_centers(points, labels, counts, centers)
-        if cost == 0.0 or prev - cost < REL_IMPROVEMENT * prev:
-            break
-        prev = cost
-    cost = _cost(points, labels, centers)
-    trace.append(cost)
-    return cost, labels, centers, tuple(trace)
+        return cost, labels, centers, tuple(trace)
 
 
 def _two_means_1d(points):
@@ -137,8 +221,8 @@ def _two_means_1d(points):
         between[s[1:] == s[:-1]] = -np.inf
         labels[order[np.argmax(between) + 1:]] = 1
     centers = np.full((2, 1), s[0])
-    _move_centers(points, labels, np.bincount(labels, minlength=2), centers)
-    return _cost(points, labels, centers), labels, centers
+    _move_centers(points.T, labels, np.bincount(labels, minlength=2), centers)
+    return float(np.sum((points - centers[labels]) ** 2)), labels, centers
 
 
 def _renumber_by_first_member(labels, centers, K):
@@ -165,6 +249,12 @@ def kmeans(points, K, restarts=DEFAULT_RESTARTS, seed=0, init="plusplus"):
     run (lowest restart index on ties).  Labels are numbered 1..K by first
     member index; empty clusters are permitted.  Deterministic given
     (points, K, restarts, seed, init).
+
+    Each Lloyd step computes the textbook quantities with the summation
+    orders the module docstring lists, so labels, centers, cost, trace and
+    restarts_used equal those of the row-wise formulas bit for bit; the
+    buffered, column-major passes only make fewer and cheaper passes over
+    the n points.
     """
     points = np.asarray(points, dtype=float)
     if points.ndim == 1:
@@ -187,12 +277,12 @@ def kmeans(points, K, restarts=DEFAULT_RESTARTS, seed=0, init="plusplus"):
         cost, labels, centers = _two_means_1d(points)
         used, trace = 1, (cost,)
     else:
-        sq_norms = np.sum(points ** 2, axis=1)
+        lloyd = _Lloyd(points, K)
         best = None
         used = 0
         for r in range(restarts):
             rng = np.random.default_rng(np.random.SeedSequence([seed, r]))
-            run = _lloyd(points, sq_norms, K, rng, init)
+            run = lloyd.run(rng, init)
             used += 1
             if best is None or run[0] < best[0]:
                 best = run

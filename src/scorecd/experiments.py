@@ -148,7 +148,7 @@ def config_from_text(text):
 
 @dataclass(frozen=True, eq=False)
 class RunReport:
-    """Aggregated experiment outcome; everything but wall_clock is seed-determined."""
+    """Aggregated experiment outcome; everything but the clocks is seed-determined."""
 
     config: ExperimentConfig
     seed: int
@@ -159,6 +159,7 @@ class RunReport:
     sds: dict
     wall_clock: dict          # method -> total seconds across repetitions
     clustering: dict          # per-method kmeans overrides actually applied
+    stage_clock: dict         # "sample"/"eigs" -> total s of the shared steps
 
     def payload(self):
         """The deterministic portion, as plain JSON-ready data."""
@@ -175,7 +176,8 @@ class RunReport:
 
     def to_json(self):
         out = self.payload()
-        out["wall_clock_s"] = {m: round(v, 3) for m, v in self.wall_clock.items()}
+        clocks = {**self.wall_clock, **self.stage_clock}
+        out["wall_clock_s"] = {key: round(v, 3) for key, v in clocks.items()}
         return json.dumps(out, indent=2)
 
     def to_table(self):
@@ -207,13 +209,16 @@ def config_to_json(cfg):
 
 def _run_repetition(cfg, params_A, sizes, truth, master, r, T_n, restarts,
                     clustering):
+    t0 = time.perf_counter()
     rng = np.random.default_rng(np.random.SeedSequence([master, r]))
     theta = dcbm.permuted_theta(cfg.theta, cfg.n, rng)
     params = dcbm.DCBMParams(K=cfg.K, A=params_A, theta=theta, sizes=sizes)
     g = dcbm.sample_adjacency(params, truth, rng)
     g0, keep = remove_isolated(g)
     truth0 = truth.labels[keep]
+    t1 = time.perf_counter()
     spectrum = eigen.leading_eigs(g0, cfg.K, seed=derived_seed(master, r, "eigs"))
+    stages = {"sample": t1 - t0, "eigs": time.perf_counter() - t1}
     out = {}
     for m in cfg.methods:
         t0 = time.perf_counter()
@@ -224,7 +229,7 @@ def _run_repetition(cfg, params_A, sizes, truth, master, r, T_n, restarts,
         ham = metrics.hamming_error(res.labeling.labels, truth0, cfg.K)
         out[m] = (ham.mismatches, ham.mismatches / g0.n,
                   time.perf_counter() - t0)
-    return g0.n, out
+    return g0.n, out, stages
 
 
 def run_experiment(cfg, seed=None, reps=None, T_n=math.inf,
@@ -260,6 +265,8 @@ def run_experiment(cfg, seed=None, reps=None, T_n=math.inf,
         mismatches[m], rates[m] = counts, rate
         means[m], sds[m] = mean, sd
         wall[m] = float(sum(row[1][m][2] for row in per_rep))
+    stage_clock = {key: float(sum(row[2][key] for row in per_rep))
+                   for key in ("sample", "eigs")}
     return RunReport(config=cfg, seed=master, n0=n0, mismatches=mismatches,
                      rates=rates, means=means, sds=sds, wall_clock=wall,
-                     clustering=policy)
+                     clustering=policy, stage_clock=stage_clock)

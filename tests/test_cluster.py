@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from scorecd import kmeans, threshold_classify
+from scorecd.cluster import (MAX_LLOYD_ITERS, REL_IMPROVEMENT, _row_sums,
+                             _weighted_draw)
 
 
 def exhaustive_kmeans_cost(points, K):
@@ -192,3 +194,151 @@ def test_lloyd_matches_recorded_runs(d):
     assert res.restarts_used == used
     assert len(res.trace) == iters
     assert res.cost == pytest.approx(cost, rel=1e-12)
+
+
+# Reference Lloyd loop in row-wise numpy expressions, with Generator.choice
+# for the k-means++ draw; kmeans must reproduce it bit for bit.
+def _ref_kmeanspp_init(points, K, rng):
+    n = points.shape[0]
+    centers = np.empty((K, points.shape[1]))
+    centers[0] = points[rng.integers(n)]
+    d2 = np.sum((points - centers[0]) ** 2, axis=1)
+    for j in range(1, K):
+        total = d2.sum()
+        if total > 0:
+            idx = rng.choice(n, p=d2 / total)
+        else:
+            idx = rng.integers(n)
+        centers[j] = points[idx]
+        d2 = np.minimum(d2, np.sum((points - centers[j]) ** 2, axis=1))
+    return centers
+
+
+def _ref_assign(points, sq_norms, centers):
+    d2 = (sq_norms[:, None]
+          + points @ (-2.0 * centers).T
+          + np.sum(centers ** 2, axis=1)[None, :])
+    return np.argmin(d2, axis=1)
+
+
+def _ref_cost(points, labels, centers):
+    return float(np.sum((points - centers[labels]) ** 2))
+
+
+def _ref_lloyd(points, sq_norms, K, rng, init):
+    if init == "plusplus":
+        centers = _ref_kmeanspp_init(points, K, rng)
+    else:
+        idx = rng.choice(points.shape[0], size=K, replace=False)
+        centers = points[idx].astype(float).copy()
+    trace = []
+    prev = np.inf
+    for _ in range(MAX_LLOYD_ITERS):
+        labels = _ref_assign(points, sq_norms, centers)
+        counts = np.bincount(labels, minlength=K)
+        for _ in range(K):
+            if counts.all():
+                break
+            gaps = np.sum((points - centers[labels]) ** 2, axis=1)
+            centers[np.argmin(counts)] = points[np.argmax(gaps)]
+            labels = _ref_assign(points, sq_norms, centers)
+            counts = np.bincount(labels, minlength=K)
+        cost = _ref_cost(points, labels, centers)
+        trace.append(cost)
+        full = counts > 0
+        for j in range(points.shape[1]):
+            sums = np.bincount(labels, weights=points[:, j], minlength=K)
+            centers[full, j] = sums[full] / counts[full]
+        if cost == 0.0 or prev - cost < REL_IMPROVEMENT * prev:
+            break
+        prev = cost
+    cost = _ref_cost(points, labels, centers)
+    trace.append(cost)
+    return cost, labels, centers, tuple(trace)
+
+
+def _ref_kmeans(points, K, restarts, seed, init):
+    points = np.asarray(points, dtype=float)
+    if points.ndim == 1:
+        points = points[:, None]
+    sq_norms = np.sum(points ** 2, axis=1)
+    best, used = None, 0
+    for r in range(restarts):
+        rng = np.random.default_rng(np.random.SeedSequence([seed, r]))
+        run = _ref_lloyd(points, sq_norms, K, rng, init)
+        used += 1
+        if best is None or run[0] < best[0]:
+            best = run
+        if best[0] == 0.0:
+            break
+    cost, labels, centers, trace = best
+    uniq, first = np.unique(labels, return_index=True)
+    seen = list(uniq[np.argsort(first)])
+    seen.extend(k for k in range(K) if k not in set(seen))
+    new_of_old = np.empty(K, dtype=np.int64)
+    for new, old in enumerate(seen):
+        new_of_old[old] = new
+    return new_of_old[labels] + 1, centers[seen], cost, trace, used
+
+
+def assert_matches_reference(points, K, restarts, seed, init):
+    res = kmeans(points, K, restarts=restarts, seed=seed, init=init)
+    labels, centers, cost, trace, used = _ref_kmeans(points, K, restarts,
+                                                     seed, init)
+    assert np.array_equal(res.labeling.labels, labels)
+    assert np.array_equal(res.centers, centers)
+    assert res.cost == cost
+    assert res.trace == trace
+    assert res.restarts_used == used
+
+
+# every shape but K = 2 in 1-D, which is split exactly; d = 9 and 130 take
+# the 8-way and halving branches of numpy's pairwise row sums
+@pytest.mark.parametrize("init", ["plusplus", "sample"])
+@pytest.mark.parametrize("d,K", [(d, K) for d in (1, 2, 3, 4, 9, 130)
+                                 for K in (2, 3, 4) if (d, K) != (1, 2)])
+def test_lloyd_is_bit_identical_to_the_row_wise_loop(d, K, init):
+    rng = np.random.default_rng(1000 + 10 * d + K)
+    centers = rng.normal(scale=2.0, size=(K + 1, d))
+    pts = centers[rng.integers(K + 1, size=120)]
+    pts += rng.standard_normal((120, d))
+    assert_matches_reference(pts, K, restarts=12, seed=d + K, init=init)
+    # column-major input and rounded coordinates with many exact ties
+    assert_matches_reference(np.asfortranarray(np.round(pts)), K, restarts=6,
+                             seed=7, init=init)
+    # far from the origin |x|^2 - 2 x.c + |c|^2 cancels, so last-bit changes
+    # in the distance matrix (another BLAS summation order) move labels
+    assert_matches_reference(pts + 1e7, K, restarts=6, seed=8, init=init)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 7, 8, 9, 16, 23, 128, 129, 130, 300])
+def test_row_sums_add_in_numpy_order(d):
+    rng = np.random.default_rng(d)
+    terms = rng.standard_normal((500, d)) ** 2 * 10.0 ** rng.integers(-4, 4, d)
+    assert np.array_equal(_row_sums(np.ascontiguousarray(terms.T)),
+                          np.sum(terms, axis=1))
+
+
+@pytest.mark.parametrize("init", ["plusplus", "sample"])
+def test_lloyd_bit_identity_on_reseeds_and_zero_cost(init):
+    # duplicates leave clusters empty, which re-seed; equal points stop at 0
+    assert_matches_reference(np.array([0.0, 0.0, 0.0, 0.0, 10.0]), 3,
+                             restarts=10, seed=2, init=init)
+    assert_matches_reference(np.array([[0.0, 0.0]] * 6 + [[1.0, 1.0]] * 2), 4,
+                             restarts=10, seed=5, init=init)
+    assert_matches_reference(np.full((9, 2), 1.5), 3, restarts=10, seed=1,
+                             init=init)
+    assert kmeans(np.full((9, 2), 1.5), 3, restarts=10).restarts_used == 1
+
+
+def test_weighted_draw_matches_generator_choice():
+    for trial in range(40):
+        weights = np.random.default_rng(trial).random(1 + 37 * trial)
+        weights[::3] = 0.0
+        if not weights.any():
+            weights[-1] = 1.0
+        ours = np.random.default_rng(900 + trial)
+        theirs = np.random.default_rng(900 + trial)
+        p = weights / weights.sum()
+        assert _weighted_draw(ours, p) == theirs.choice(weights.size, p=p)
+        assert ours.bit_generator.state == theirs.bit_generator.state

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -73,6 +75,15 @@ def test_run_experiment_shapes_and_rates():
             assert rate == report.mismatches[method][r] / report.n0[r]
         assert 0.0 <= report.means[method] <= 1.0
     assert set(report.wall_clock) == {"score", "opca"}
+
+
+def test_json_reports_sample_and_eigs_stage_totals():
+    report = run_experiment(tiny_config(), restarts=10)
+    clocks = json.loads(report.to_json())["wall_clock_s"]
+    assert set(clocks) == {"score", "opca", "sample", "eigs"}
+    assert all(seconds >= 0.0 for seconds in clocks.values())
+    assert set(report.stage_clock) == {"sample", "eigs"}
+    assert "wall_clock_s" not in report.payload()
 
 
 def test_run_experiment_deterministic():
