@@ -77,12 +77,35 @@ def _truth_for(g, labels_path, builtin_lines, K):
     return truth
 
 
+class _StageClock:
+    """Seconds spent in each stage of one command, plus their total."""
+
+    def __init__(self):
+        self.start = self.last = time.perf_counter()
+        self.stages = {}
+
+    def lap(self, stage):
+        """Close `stage` at the current time."""
+        now = time.perf_counter()
+        self.stages[stage] = now - self.last
+        self.last = now
+
+    def totals(self):
+        """Rounded seconds per stage, and "total" up to the last lap."""
+        clocks = {**self.stages, "total": self.last - self.start}
+        return {key: round(v, 3) for key, v in clocks.items()}
+
+
 def _emit(text, out):
     if out:
         with open(out, "w") as fh:
             fh.write(text if text.endswith("\n") else text + "\n")
     else:
-        click.echo(text)
+        # not click.echo: click keeps every stdout object it has written to,
+        # so each in-process run that swaps sys.stdout (CliRunner,
+        # contextlib.redirect_stdout) would leave its whole output alive
+        sys.stdout.write(text + "\n")
+        sys.stdout.flush()
 
 
 @click.group()
@@ -117,19 +140,23 @@ def detect(input_spec, labels, k, method, threshold, tn, restarts, seed,
     """Detect communities in a real network (giant component is used)."""
     if k < 1:
         raise ValueError(f"K must be >= 1, got {k}")
+    clock = _StageClock()
     g_raw, builtin_labels = _load_graph(input_spec)
+    clock.lap("load")
     g, _ = graph.giant_component(g_raw)
+    clock.lap("giant")
     if k > g.n:
         raise ValueError(f"K={k} exceeds the {g.n}-node giant component")
-    t0 = time.perf_counter()
     spectrum = eigen.leading_eigs(g, k, seed=derived_seed(seed, "eigs"))
+    clock.lap("eigs")
     result = pipeline.run_method(g, spectrum, method, k, T_n=tn, seed=seed,
                                  restarts=restarts, threshold=threshold)
-    elapsed = time.perf_counter() - t0
+    clock.lap("method")
     truth = _truth_for(g, labels, builtin_labels, k)
     ham = None
     if truth is not None:
         ham = metrics.hamming_error(result.labeling.labels, truth, k)
+    clock.lap("labels")
 
     if as_csv:
         lines = ["node,label"]
@@ -141,7 +168,7 @@ def detect(input_spec, labels, k, method, threshold, tn, restarts, seed,
         "input": input_spec, "method": result.method, "K": k, "seed": seed,
         "n_loaded": g_raw.n, "n0": g.n, "edges": g.num_edges,
         "threshold": result.threshold,
-        "wall_clock_s": round(elapsed, 3),
+        "wall_clock_s": clock.totals(),
     }
     if result.kmeans is not None:
         payload["kmeans_cost"] = result.kmeans.cost

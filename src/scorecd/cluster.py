@@ -18,9 +18,8 @@ numpy's pairwise order (`_row_sums`), the distance matrix is the product
 x @ (-2 C).T plus |x|^2 and then |c|^2, the cost sums the n x d residual
 block in row-major order, and each centroid sum runs over the points in
 index order (`np.bincount`).  Any other order changes last bits, and with
-them near-tied assignments and k-means++ draws.  The identity holds while the
-squared distances are finite; points whose squares overflow give nan
-distances, which argmin and the strict-< compare resolve differently.
+them near-tied assignments and k-means++ draws.  Points large enough for
+squared distances to overflow are rejected up front.
 """
 
 from dataclasses import dataclass, field
@@ -272,6 +271,11 @@ def kmeans(points, K, restarts=DEFAULT_RESTARTS, seed=0, init="plusplus"):
                          f"but K={K} > n={points.shape[0]}")
     if not np.all(np.isfinite(points)):
         raise ValueError("points contain non-finite coordinates")
+    # squared distances reach d (2 max|x|)^2, which must stay finite
+    bound = 0.5 * np.sqrt(np.finfo(float).max / points.shape[1])
+    if np.abs(points).max() > bound:
+        raise ValueError(f"points exceed {bound:.3g} in magnitude, so squared "
+                         "distances overflow; rescale them")
 
     if K == 2 and points.shape[1] == 1:
         cost, labels, centers = _two_means_1d(points)

@@ -97,14 +97,14 @@ def leading_eigs(op, K, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER, seed=0,
     NonConvergenceError otherwise), and its largest-magnitude entry made
     positive.  The iterative path starts ARPACK from a seeded uniform random
     vector, so results are reproducible, and gives up after `max_iter`
-    restarts.  `method` forces the 'dense' or 'lanczos' path; 'auto' uses
+    restarts.  `method` forces the 'dense' or the 'arpack' path; 'auto' uses
     dense for n <= 512.  K >= n - 1 always goes dense.
     """
     mat = _as_operator(op)
     n = mat.shape[0]
     if not 1 <= K <= n:
         raise ValueError(f"K must be in [1, {n}], got {K}")
-    if method not in ("auto", "dense", "lanczos"):
+    if method not in ("auto", "dense", "arpack"):
         raise ValueError(f"unknown method {method!r}")
     if method == "dense" or K >= n - 1 or (method == "auto"
                                            and n <= DENSE_CUTOFF):

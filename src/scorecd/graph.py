@@ -5,6 +5,7 @@ remapped to dense indices 0..n-1 in first-appearance order; the mapping is kept
 in ``original_ids`` so results can be reported against the source labels.
 """
 
+import io
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -62,15 +63,33 @@ def from_edges(edges, n, original_ids=None):
 def load_edge_list(source):
     """Parse whitespace-separated edge-list text into an undirected Graph.
 
-    `source` is an iterable of lines (an open file works).  Lines starting with
-    '#' or '%' and blank lines are skipped.  Every other line must hold exactly
-    two node tokens.  Tokens are arbitrary strings, remapped to dense indices in
+    `source` is an open text file, read whole, or an iterable of lines.  A
+    file's lines end at line feeds (open() in its default newline mode turns
+    CR and CRLF endings into line feeds).  Lines starting with '#' or '%' and
+    blank lines are skipped.  Every other line must hold exactly two node
+    tokens.  Tokens are arbitrary strings, remapped to dense indices in
     first-appearance order.  Duplicate and reversed edges always merge and
-    self-loops are dropped.
+    self-loops are dropped.  A text of canonical non-negative integer tokens
+    is parsed vectorized (`_integer_edges`); any other text goes through the
+    line loop, which gives the same Graph and reports every malformed line.
     """
+    if hasattr(source, "read"):
+        text, lines = source.read(), None
+    else:
+        lines = [line.removesuffix("\n") for line in source]
+        text = "\n".join(lines)
+    # a list item holding a line break is one line to the loop but two in
+    # the joined text, so only the loop may read that list
+    if lines is None or text.count("\n") < len(lines):
+        edges = _integer_edges(text)
+        if edges is not None:
+            pairs, ids = edges
+            return from_edges(pairs, n=len(ids), original_ids=ids)
+    if lines is None:
+        lines = io.StringIO(text)
     index = {}
     ends = []
-    for line_no, raw in enumerate(source, start=1):
+    for line_no, raw in enumerate(lines, start=1):
         line = raw.strip()
         if not line or line[0] in "#%":
             continue
@@ -84,6 +103,60 @@ def load_edge_list(source):
         raise DataError("empty edge list: no edges found in input")
     return from_edges(np.reshape(ends, (-1, 2)), n=len(index),
                       original_ids=tuple(index))
+
+
+def _integer_edges(text):
+    """(m x 2 index pairs, node ids) of an all-integer edge list, or None.
+
+    Applies only when `text` is ASCII digits and blanks (space, tab, CR, LF),
+    every non-blank line holds two tokens, and every token is a canonical
+    decimal: at most 18 digits (np.fromstring saturates at the int64 limit)
+    and no leading zero ('07' and '7' are different nodes).  Then a token and
+    its value name the same node, and the indices and ids equal the line
+    loop's.  Any other text, including one without tokens, returns None.
+    """
+    if not text.isascii():
+        return None
+    buf = np.frombuffer(text.encode("ascii"), dtype=np.uint8)
+    # digit flags with a non-digit pad at each end (uint8 wraps below '0')
+    digit = np.zeros(buf.size + 2, dtype=bool)
+    np.less(buf - ord("0"), 10, out=digit[1:-1])
+    allowed = digit[1:-1].copy()
+    for blank in b" \t\r\n":
+        allowed |= buf == blank
+    if not allowed.all():
+        return None
+    del allowed
+    starts = np.flatnonzero(digit[1:] > digit[:-1])
+    lengths = np.flatnonzero(digit[:-1] > digit[1:])
+    lengths -= starts
+    del digit
+    if (starts.size == 0 or starts.size % 2 or lengths.max() > 18
+            or ((buf[starts] == ord("0")) & (lengths > 1)).any()):
+        return None
+    line = np.searchsorted(np.flatnonzero(buf == ord("\n")), starts)
+    if not ((line[0::2] == line[1::2]).all()
+            and (line[1:-1:2] < line[2::2]).all()):
+        return None
+    del buf, starts, lengths, line
+    # distinct values in sorted order, each with its first position
+    values = np.fromstring(text, dtype=np.int64, sep=" ")
+    order = np.argsort(values)
+    values = values[order]
+    head = np.empty(values.size, dtype=bool)
+    head[0] = True
+    np.not_equal(values[1:], values[:-1], out=head[1:])
+    heads = np.flatnonzero(head)
+    by_first = np.argsort(np.minimum.reduceat(order, heads))
+    ids = tuple(map(str, values[heads[by_first]].tolist()))
+    rank = np.empty(heads.size, dtype=np.int64)
+    rank[by_first] = np.arange(heads.size)
+    # each sorted token's distinct-value number, then its node index, written
+    # back in file order over the same buffer
+    index = np.cumsum(head, out=values)
+    index -= 1
+    index[order] = rank[index]
+    return index.reshape(-1, 2), ids
 
 
 def _induced_subgraph(g, keep):
@@ -159,15 +232,12 @@ def load_labels(source, id_order):
     Unlabeled nodes are an error.
     """
     table = read_labels(source)
-    missing = [str(t) for t in id_order if str(t) not in table]
-    if missing:
+    labs = [table.get(str(t)) for t in id_order]
+    if None in labs:
+        missing = [str(t) for t, lab in zip(id_order, labs) if lab is None]
         raise DataError(f"{len(missing)} nodes have no ground-truth label "
                         f"(first missing: {missing[0]!r})")
-    codes = {}
-    out = np.empty(len(id_order), dtype=np.int64)
-    for pos, tok in enumerate(id_order):
-        lab = table[str(tok)]
-        if lab not in codes:
-            codes[lab] = len(codes) + 1
-        out[pos] = codes[lab]
+    codes = {lab: k for k, lab in enumerate(dict.fromkeys(labs), start=1)}
+    out = np.fromiter(map(codes.__getitem__, labs), dtype=np.int64,
+                      count=len(labs))
     return out, codes

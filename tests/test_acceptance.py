@@ -289,7 +289,7 @@ def test_criterion_9_property_suites(capsys, oracle_instances):
             M = erng.standard_normal((n, n))
             M = (M + M.T) / 2
             K = int(erng.integers(1, 5))
-            spec = leading_eigs(M, K, method="lanczos", seed=rep)
+            spec = leading_eigs(M, K, method="arpack", seed=rep)
             vals, vecs = np.linalg.eigh(M)
             order = sorted(range(n),
                            key=lambda i: (-abs(vals[i]), vals[i] < 0))[:K]

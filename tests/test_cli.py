@@ -1,6 +1,10 @@
+import contextlib
+import gc
+import io
 import json
 import pathlib
 import tempfile
+import weakref
 
 import pytest
 from click.testing import CliRunner
@@ -28,6 +32,32 @@ def test_detect_karate_threshold_zero():
               "--threshold", "0", "--json")
     assert res.exit_code == 0
     assert json.loads(res.output)["mismatches"] == 1
+
+
+def test_detect_json_times_every_stage_outside_the_result():
+    args = ("detect", "--input", "builtin:karate", "--k", "2", "--json")
+    a, b = (json.loads(run(*args).output) for _ in range(2))
+    clock = a.pop("wall_clock_s")
+    assert list(clock) == ["load", "giant", "eigs", "method", "labels",
+                           "total"]
+    assert all(v >= 0 for v in clock.values())
+    assert clock["total"] >= max(clock[key] for key in clock if key != "total")
+    b.pop("wall_clock_s")
+    assert a == b
+
+
+def test_stdout_is_not_kept_alive_after_a_run():
+    # in-process callers swap sys.stdout per run; the CLI must not keep the
+    # old streams, or every run's output stays in memory
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        main.main(args=["detect", "--input", "builtin:karate", "--k", "2",
+                        "--json"], standalone_mode=False)
+    assert json.loads(out.getvalue())["n0"] == 34
+    ref = weakref.ref(out)
+    del out
+    gc.collect()
+    assert ref() is None
 
 
 def test_detect_threshold_must_be_a_number():

@@ -110,6 +110,18 @@ def test_nonfinite_points_rejected():
         kmeans(np.array([1.0, np.inf]), K=1)
 
 
+@pytest.mark.parametrize("init", ["plusplus", "sample"])
+def test_overflowing_magnitudes_rejected(rng, init):
+    pts = rng.standard_normal((50, 2))
+    for d in (1, 2):
+        with pytest.raises(ValueError, match="overflow"):
+            kmeans(pts[:, :d] * 1e160, K=2, init=init)
+    # at 1e150 every squared distance and the cost stay finite
+    res = kmeans(pts * 1e150, K=2, restarts=5, init=init)
+    assert np.isfinite(res.cost)
+    assert set(res.labeling.labels) == {1, 2}
+
+
 def test_threshold_classify():
     lab = threshold_classify(np.array([0.5, -0.2, 0.0, 2.0]), t=0.0)
     assert np.array_equal(lab.labels, [1, 2, 2, 1])  # strict inequality

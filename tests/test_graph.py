@@ -1,12 +1,20 @@
+import hashlib
+import importlib.util
 import io
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from scorecd import (DCBMParams, block_labels, from_edges, giant_component,
-                     load_edge_list, load_labels, remove_isolated,
+                     graph, load_edge_list, load_labels, remove_isolated,
                      sample_adjacency)
 from scorecd.errors import DataError, ParseError
+
+GEN_DETECT = Path(__file__).resolve().parents[1] / "scorebench/gen_detect.py"
 
 
 def load(text):
@@ -115,6 +123,143 @@ def test_from_edges_trailing_isolated_nodes_and_no_edges():
         assert_canonical_01(g)
     with pytest.raises(ValueError, match="m x 2"):
         from_edges([(0, 1, 2)], n=3)
+
+
+def load_by_loop(source):
+    """load_edge_list with the integer fast path switched off."""
+    with mock.patch.object(graph, "_integer_edges", lambda text: None):
+        return load_edge_list(source)
+
+
+def outcome(load, source):
+    """Everything a parse yields: the graph's arrays and ids, or the error."""
+    try:
+        g = load(source)
+    except DataError as exc:
+        return type(exc), str(exc), getattr(exc, "line_no", None)
+    adj = g.adjacency
+    return (g.n, g.original_ids, adj.indptr.tolist(), adj.indices.tolist(),
+            adj.data.dtype, adj.data.tolist(), adj.has_canonical_format)
+
+
+CANONICAL = st.integers(0, 60).map(str) | st.integers(0, 10**18 - 1).map(str)
+# per generated text, at most one kind of token or line the fast path refuses
+FLAVORS = {
+    "clean": CANONICAL,
+    "leading zero": CANONICAL.map(lambda t: "0" + t),
+    "19-20 digits": st.integers(10**18, 10**20 - 1).map(str),
+    "sign": st.sampled_from("+-").flatmap(lambda c: CANONICAL.map(c.__add__)),
+    "non-ASCII": st.just("\u00e91"),
+    "comment": CANONICAL,
+    "form feed": CANONICAL,
+    "token count": CANONICAL,
+}
+BLANKS = st.sampled_from([" ", "\t", "  ", " \t "])
+
+
+@st.composite
+def edge_list_lines(draw, flavor):
+    """Edge-list lines with their endings, odd in the way `flavor` names."""
+    tokens = CANONICAL | FLAVORS[flavor]
+    seps = BLANKS | st.just("\f") if flavor == "form feed" else BLANKS
+    kinds = ["pair"] * 4 + ["blank"]
+    kinds += {"comment": ["comment"], "token count": ["odd"]}.get(flavor, [])
+    lines = []
+    for _ in range(draw(st.integers(1, 12))):
+        kind = draw(st.sampled_from(kinds))
+        if kind == "pair":
+            line = draw(tokens) + draw(seps) + draw(tokens)
+        elif kind == "blank":
+            line = draw(st.sampled_from(["", " ", "\t", "\r"]))
+        elif kind == "comment":
+            line = draw(st.sampled_from(["# 1 2", "% 3", "#"]))
+        else:  # one, three or four tokens
+            count = draw(st.sampled_from([1, 3, 4]))
+            line = " ".join(draw(tokens) for _ in range(count))
+        lead = draw(st.sampled_from(["", " ", "\t"]))
+        trail = draw(st.sampled_from(["", " ", "\t", " \t "]))
+        lines.append(lead + line + trail
+                     + draw(st.sampled_from(["\n", "\r\n"])))
+    if draw(st.booleans()):
+        lines[-1] = lines[-1].rstrip("\r\n")  # no final newline
+    return lines
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_fast_path_equals_line_loop(data):
+    flavor = data.draw(st.sampled_from(sorted(FLAVORS)))
+    lines = data.draw(edge_list_lines(flavor))
+    text = "".join(lines)
+    if flavor == "clean" and text.strip():
+        assert graph._integer_edges(text) is not None
+    for make in (lambda: io.StringIO(text), lambda: list(lines),
+                 lambda: [line.rstrip("\n") for line in lines]):
+        assert outcome(load_edge_list, make()) == outcome(load_by_loop, make())
+
+
+@pytest.mark.parametrize("text", [
+    "5\n6\n", "1 2 3 4\n", "1 2\n3\n4\n", "07 7\n", "0 00\n",
+    "999999999999999999 1000000000000000000\n",
+    "9223372036854775807 9223372036854775808\n", "1 2\r3 4\n", "1\f2\n",
+    "1\v2\n", "\u00e9 1\n", "\n\n", "1 2"])
+def test_fast_path_edge_cases_equal_line_loop(text):
+    for make in (lambda: io.StringIO(text), lambda: text.split("\n")):
+        assert outcome(load_edge_list, make()) == outcome(load_by_loop, make())
+
+
+def test_list_item_holding_a_line_break_stays_one_line():
+    with pytest.raises(ParseError, match="line 1: expected two node tokens, "
+                                         "got 4"):
+        load_edge_list(["1 2\n3 4", "5 6"])
+
+
+@pytest.mark.parametrize("bad, count", [("7", 1), ("7 8 9", 3)])
+@pytest.mark.parametrize("good", [0, 1000])
+@pytest.mark.parametrize("form", ["file", "lines", "lines_with_newlines"])
+def test_parse_error_line_number_and_message(bad, count, good, form):
+    rows = [f"{i} {i + 1}" for i in range(good)] + [bad, "1 2"]
+    source = {"file": io.StringIO("\n".join(rows) + "\n"),
+              "lines": rows,
+              "lines_with_newlines": [row + "\n" for row in rows]}[form]
+    with pytest.raises(ParseError) as err:
+        load_edge_list(source)
+    assert err.value.line_no == good + 1
+    assert str(err.value) == (f"line {good + 1}: expected two node tokens, "
+                              f"got {count}: {bad!r}")
+
+
+@pytest.fixture(scope="module")
+def detect_large_edges(tmp_path_factory):
+    """The edge list scorebench/gen_detect.py writes for --seed 1."""
+    spec = importlib.util.spec_from_file_location("gen_detect", GEN_DETECT)
+    gen = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(gen)
+    out = tmp_path_factory.mktemp("detect-large")
+    gen.write_inputs(1, out)
+    return out / "edges.txt"
+
+
+def test_detect_large_graph_golden_digest(detect_large_edges):
+    # recorded with the line-loop parser; the vectorized path must match it
+    with open(detect_large_edges) as fh:
+        g = load_edge_list(fh)
+    adj = g.adjacency
+    assert g.n == 46297 and adj.data.dtype == np.int8
+    assert adj.has_canonical_format
+    digests = {name: hashlib.sha256(np.asarray(getattr(adj, name),
+                                               dtype=np.int64).tobytes())
+               .hexdigest()[:16] for name in ("indptr", "indices", "data")}
+    digests["original_ids"] = hashlib.sha256(
+        "\n".join(g.original_ids).encode()).hexdigest()[:16]
+    assert digests == {"indptr": "d9ad58bcc8a45aa5",
+                       "indices": "ddc0c8a3138ec077",
+                       "data": "abb3de8b1661cb1c",
+                       "original_ids": "ba9e1b218767f6f6"}
+
+
+def test_detect_large_text_takes_the_fast_path(detect_large_edges):
+    assert graph._integer_edges(detect_large_edges.read_text()) is not None
 
 
 def test_giant_component_prefers_larger():
