@@ -21,16 +21,23 @@ from .errors import DataError, NumericalError
 from .seeding import derived_seed
 
 
+def _warn(text, end="\n"):
+    # not click.echo(err=True), which keeps every stderr object it has
+    # written to alive (see _emit)
+    sys.stderr.write(text + end)
+    sys.stderr.flush()
+
+
 def _guard(fn):
     @functools.wraps(fn)
     def wrapper(*args, **kwargs):
         try:
             return fn(*args, **kwargs)
         except DataError as exc:
-            click.echo(f"data error: {exc}", err=True)
+            _warn(f"data error: {exc}")
             sys.exit(3)
         except NumericalError as exc:
-            click.echo(f"numerical failure: {exc}", err=True)
+            _warn(f"numerical failure: {exc}")
             sys.exit(4)
         except ValueError as exc:
             raise click.UsageError(str(exc))
@@ -172,6 +179,7 @@ def detect(input_spec, labels, k, method, threshold, tn, restarts, seed,
     }
     if result.kmeans is not None:
         payload["kmeans_cost"] = result.kmeans.cost
+        payload["kmeans_restarts_at_best"] = result.kmeans.restarts_at_best
     if result.ratio is not None:
         payload["truncated_entries"] = result.ratio.truncated_count
     if ham is not None:
@@ -221,13 +229,13 @@ def experiment(preset, config_path, reps, seed, tn, restarts,
                uniform_clustering, progress, as_json, as_csv, out):
     """Run a simulation preset (1, 2a-2d, 3, 4a-4c) or a custom config."""
     cfg = _load_config(preset, config_path)
-    tick = (lambda r: click.echo(".", err=True, nl=False)) if progress else None
+    tick = (lambda r: _warn(".", end="")) if progress else None
     clustering = {"npca": {}} if uniform_clustering else None
     report = experiments.run_experiment(cfg, seed=seed, reps=reps, T_n=tn,
                                         restarts=restarts,
                                         progress=tick, clustering=clustering)
     if progress:
-        click.echo("", err=True)
+        _warn("")
     if as_csv:
         _emit(report.to_csv(), out)
     elif as_json:

@@ -20,6 +20,17 @@ block in row-major order, and each centroid sum runs over the points in
 index order (`np.bincount`).  Any other order changes last bits, and with
 them near-tied assignments and k-means++ draws.  Points large enough for
 squared distances to overflow are rejected up front.
+
+Restarts skip work whose outcome is already known, without changing a bit.
+After its seeding, a run is a deterministic function of the centers it holds
+at the top of a step, as bits; the previous cost enters only the stop test
+and the step index only the iteration cap.  So a run that reaches centers an
+earlier run of the same call held takes that run's outcome and the rest of
+its cost trace, unless the stop test or the cap would part the two
+(`_take_over`).  And a step that assigned its centers without a reseed and
+moved none of them is a fixed point: the next step would give the same
+labels and cost and then stop, so the run appends those costs and stops
+without computing them.
 """
 
 from dataclasses import dataclass, field
@@ -56,6 +67,7 @@ class KMeansResult:
     cost: float
     restarts_used: int
     trace: tuple = field(default=())  # winning run's per-iteration costs
+    restarts_at_best: int = 1  # runs whose final cost equals the winner's
 
 
 def _row_sums(cols):
@@ -166,19 +178,40 @@ class _Lloyd:
         np.square(block, out=block)
         return block
 
-    def run(self, rng, init):
-        """One seeded Lloyd run; returns (cost, labels, centers, trace)."""
+    def run(self, rng, init, memo):
+        """One seeded Lloyd run; returns (cost, labels, centers, trace).
+
+        `memo` maps the centers (as bytes) that earlier runs on this point
+        set held at the top of a step to (step index, that run's outcome).
+        A run that reaches such centers takes the earlier outcome wherever
+        `_take_over` shows it to be its own.
+        """
         points, K = self.points, self.K
         if init == "plusplus":
             centers = self._plusplus(rng)
         else:
             centers = points[rng.choice(points.shape[0], size=K,
                                         replace=False)]
-        trace = []
+        trace, visited = [], []
         prev = np.inf
-        for _ in range(MAX_LLOYD_ITERS):
+        fixed = outcome = None
+        for it in range(MAX_LLOYD_ITERS):
+            state = centers.tobytes()
+            visited.append((state, it))
+            if state == fixed:
+                # the last step assigned these very centers without a
+                # reseed and moved none of them: this step would repeat its
+                # labels and cost, whereupon the stop test holds
+                trace += [prev, prev]
+                outcome = (prev, labels, centers, tuple(trace))
+                break
+            if state in memo:
+                outcome = _take_over(memo[state], it, prev, trace)
+                if outcome is not None:
+                    break
             labels = self._assign(centers)
             counts = np.bincount(labels, minlength=K)
+            fixed = state if np.count_nonzero(counts) == K else None
             # an empty cluster re-seeds at the point farthest from its center
             for _ in range(K):
                 if np.count_nonzero(counts) == K:
@@ -195,9 +228,37 @@ class _Lloyd:
             if cost == 0.0 or prev - cost < REL_IMPROVEMENT * prev:
                 break
             prev = cost
-        cost = float(self._residuals(labels, centers).sum())
-        trace.append(cost)
-        return cost, labels, centers, tuple(trace)
+        if outcome is None:
+            cost = float(self._residuals(labels, centers).sum())
+            trace.append(cost)
+            outcome = (cost, labels, centers, tuple(trace))
+        for state, it in visited:
+            memo.setdefault(state, (it, outcome))
+        return outcome
+
+
+def _take_over(entry, it, prev, trace):
+    """A run's outcome from an earlier run's at the same centers, or None.
+
+    The run holds, at the top of step `it` after cost `prev` and with the
+    costs `trace` so far, the centers an earlier run held at the top of its
+    step j; `entry` is (j, that run's outcome).  Equal centers give the same
+    labels, cost and moved centers at this step, and the next step starts
+    from those and this cost in both runs, so from there the two runs are
+    one.  They can part only at this step's stop test, which reads each
+    run's own `prev`, and at the iteration cap, which falls at another step
+    of the shared path when it != j.  None where either could part them.
+    """
+    j, (cost, labels, centers, costs) = entry
+    tail = costs[j:]  # this step's cost, the later steps' and the final one
+    rest = len(tail) - 2  # steps the earlier run took after this one
+    stops = tail[0] == 0.0 or prev - tail[0] < REL_IMPROVEMENT * prev
+    if rest == 0:
+        same = stops or it == MAX_LLOYD_ITERS - 1
+    else:
+        same = not stops and (it == j
+                              or max(it, j) + rest < MAX_LLOYD_ITERS - 1)
+    return (cost, labels, centers, tuple(trace) + tail) if same else None
 
 
 def _two_means_1d(points):
@@ -253,7 +314,10 @@ def kmeans(points, K, restarts=DEFAULT_RESTARTS, seed=0, init="plusplus"):
     orders the module docstring lists, so labels, centers, cost, trace and
     restarts_used equal those of the row-wise formulas bit for bit; the
     buffered, column-major passes only make fewer and cheaper passes over
-    the n points.
+    the n points, and runs skip the steps whose outcome an earlier run or a
+    fixed point already gives (see the module docstring).  restarts_at_best
+    counts the runs whose final cost equals the winner's (1 for the exact
+    split): how many restarts agree on the best cost.
     """
     points = np.asarray(points, dtype=float)
     if points.ndim == 1:
@@ -279,23 +343,26 @@ def kmeans(points, K, restarts=DEFAULT_RESTARTS, seed=0, init="plusplus"):
 
     if K == 2 and points.shape[1] == 1:
         cost, labels, centers = _two_means_1d(points)
-        used, trace = 1, (cost,)
+        used, at_best, trace = 1, 1, (cost,)
     else:
         lloyd = _Lloyd(points, K)
+        memo = {}
         best = None
-        used = 0
+        costs = []
         for r in range(restarts):
             rng = np.random.default_rng(np.random.SeedSequence([seed, r]))
-            run = lloyd.run(rng, init)
-            used += 1
+            run = lloyd.run(rng, init, memo)
+            costs.append(run[0])
             if best is None or run[0] < best[0]:
                 best = run
             if best[0] == 0.0:
                 break
         cost, labels, centers, trace = best
+        used, at_best = len(costs), costs.count(cost)
     labels, centers = _renumber_by_first_member(labels, centers, K)
     return KMeansResult(labeling=Labeling(labels=labels, K=K), centers=centers,
-                        cost=cost, restarts_used=used, trace=trace)
+                        cost=cost, restarts_used=used, trace=trace,
+                        restarts_at_best=at_best)
 
 
 def threshold_classify(r, t):

@@ -132,15 +132,16 @@ def sample_adjacency(p, labels, seed):
     n = p.n
     lab0 = labels.labels - 1
     theta = p.theta
-    rows, cols = [], []
-    for i in range(n - 1):
-        probs = theta[i] * theta[i + 1:] * p.A[lab0[i], lab0[i + 1:]]
+    a_rows = p.A[:, lab0]  # a_rows[k, j] = A[k, lab0[j]]
+    counts, cols = [], []
+    for i, k in enumerate(lab0[:-1].tolist()):
+        probs = theta[i] * theta[i + 1:] * a_rows[k, i + 1:]
         hits = np.nonzero(rng.random(n - 1 - i) < probs)[0]
-        if hits.size:
-            rows.append(np.full(hits.size, i, dtype=np.int64))
-            cols.append(hits.astype(np.int64) + i + 1)
-    pairs = (np.column_stack([np.concatenate(rows), np.concatenate(cols)])
-             if rows else ())
+        counts.append(hits.size)
+        cols.append(hits + (i + 1))
+    pairs = (np.column_stack([np.repeat(np.arange(n - 1), counts),
+                              np.concatenate(cols)])
+             if cols else ())
     return from_edges(pairs, n)
 
 

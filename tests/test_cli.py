@@ -25,6 +25,7 @@ def test_detect_karate_kmeans():
     assert payload["edges"] == 78
     assert payload["mismatches"] == 1
     assert len(payload["labels"]) == 34
+    assert payload["kmeans_restarts_at_best"] == 1  # the exact 1-D split
 
 
 def test_detect_karate_threshold_zero():
@@ -56,6 +57,19 @@ def test_stdout_is_not_kept_alive_after_a_run():
     assert json.loads(out.getvalue())["n0"] == 34
     ref = weakref.ref(out)
     del out
+    gc.collect()
+    assert ref() is None
+
+
+def test_stderr_is_not_kept_alive_after_a_failed_run():
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), pytest.raises(SystemExit) as exc:
+        main.main(args=["detect", "--input", "builtin:nope", "--k", "2"],
+                  standalone_mode=False)
+    assert exc.value.code == 3
+    assert err.getvalue().startswith("data error: ")
+    ref = weakref.ref(err)
+    del err
     gc.collect()
     assert ref() is None
 
@@ -122,8 +136,10 @@ def test_experiment_csv(tmp_path):
     path = tmp_path / "cfg.txt"
     path.write_text("id = t\nn = 40\nK = 2\nrep = 2\nA = 1 0.8 ; 0.8 1\n"
                     "theta = constant c=0.5\nmethods = score opca\nseed = 3\n")
-    res = run("experiment", "--config", str(path), "--restarts", "5", "--csv")
-    rows = res.output.strip().splitlines()
+    res = run("experiment", "--config", str(path), "--restarts", "5", "--csv",
+              "--progress")
+    assert res.stderr == "..\n"  # one tick per repetition
+    rows = res.stdout.strip().splitlines()
     assert rows[0] == "rep,n0,method,mismatches,rate"
     assert len(rows) == 1 + 4
 

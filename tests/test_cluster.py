@@ -3,7 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
-from scorecd import kmeans, threshold_classify
+from scorecd import cluster, kmeans, threshold_classify
 from scorecd.cluster import (MAX_LLOYD_ITERS, REL_IMPROVEMENT, _row_sums,
                              _weighted_draw)
 
@@ -274,11 +274,11 @@ def _ref_kmeans(points, K, restarts, seed, init):
     if points.ndim == 1:
         points = points[:, None]
     sq_norms = np.sum(points ** 2, axis=1)
-    best, used = None, 0
+    best, costs = None, []
     for r in range(restarts):
         rng = np.random.default_rng(np.random.SeedSequence([seed, r]))
         run = _ref_lloyd(points, sq_norms, K, rng, init)
-        used += 1
+        costs.append(run[0])
         if best is None or run[0] < best[0]:
             best = run
         if best[0] == 0.0:
@@ -290,18 +290,20 @@ def _ref_kmeans(points, K, restarts, seed, init):
     new_of_old = np.empty(K, dtype=np.int64)
     for new, old in enumerate(seen):
         new_of_old[old] = new
-    return new_of_old[labels] + 1, centers[seen], cost, trace, used
+    return (new_of_old[labels] + 1, centers[seen], cost, trace, len(costs),
+            costs.count(cost))
 
 
 def assert_matches_reference(points, K, restarts, seed, init):
     res = kmeans(points, K, restarts=restarts, seed=seed, init=init)
-    labels, centers, cost, trace, used = _ref_kmeans(points, K, restarts,
-                                                     seed, init)
+    labels, centers, cost, trace, used, at_best = _ref_kmeans(
+        points, K, restarts, seed, init)
     assert np.array_equal(res.labeling.labels, labels)
     assert np.array_equal(res.centers, centers)
     assert res.cost == cost
     assert res.trace == trace
     assert res.restarts_used == used
+    assert res.restarts_at_best == at_best
 
 
 # every shape but K = 2 in 1-D, which is split exactly; d = 9 and 130 take
@@ -341,6 +343,103 @@ def test_lloyd_bit_identity_on_reseeds_and_zero_cost(init):
     assert_matches_reference(np.full((9, 2), 1.5), 3, restarts=10, seed=1,
                              init=init)
     assert kmeans(np.full((9, 2), 1.5), 3, restarts=10).restarts_used == 1
+
+
+def _blobs(seed, n, d, K, scale):
+    """Overlapping Gaussian blobs, like the simulations' embeddings."""
+    rng = np.random.default_rng(seed)
+    centers = rng.normal(scale=scale, size=(K, d))
+    return centers[rng.integers(K, size=n)] + rng.standard_normal((n, d))
+
+
+def assert_runs_match_reference(points, K, restarts, seed, init):
+    """Every restart, not only the winner, equals the row-wise loop's.
+
+    A run that takes an earlier run's outcome also takes its cost, so it
+    never wins (the first run at the lowest cost does): comparing the
+    winner alone would miss a wrong trace or stop on such a run.
+    """
+    lloyd, memo = cluster._Lloyd(points, K), {}
+    sq_norms = np.sum(points ** 2, axis=1)
+    for r in range(restarts):
+        seq = np.random.SeedSequence([seed, r])
+        cost, labels, centers, trace = lloyd.run(np.random.default_rng(seq),
+                                                 init, memo)
+        ref = _ref_lloyd(points, sq_norms, K, np.random.default_rng(seq),
+                         init)
+        assert cost == ref[0] and trace == ref[3]
+        assert np.array_equal(labels, ref[1])
+        assert np.array_equal(centers, ref[2])
+    assert_matches_reference(points, K, restarts, seed, init)
+
+
+# on overlapping blobs the restarts' paths merge, so most runs end in an
+# earlier run's outcome (restart memo) and every run that reaches a fixed
+# point itself skips the step confirming it
+@pytest.mark.parametrize("d,K,scale", [(2, 2, 1.0), (2, 3, 2.0), (3, 3, 1.0),
+                                       (3, 3, 2.0)])
+def test_lloyd_bit_identity_where_restarts_merge(d, K, scale):
+    assert_runs_match_reference(_blobs(10 * d + K, 300, d, K, scale), K,
+                                restarts=100, seed=d, init="plusplus")
+
+
+def test_merged_runs_keep_their_own_stop_test():
+    # seeds near the centroids stop after step 1 (a relative gain below
+    # 1e-9); seeds 100 away reach the same centers at step 1 and go on
+    x = np.array([-100.0, 0.001, 100.0, 900.0, 1000.001, 1100.0])
+    pts = np.column_stack([x, np.zeros_like(x)])
+    assert_runs_match_reference(pts, 2, restarts=30, seed=0, init="plusplus")
+
+
+# a cap at step 1 to 4 ends runs that an uncapped earlier run continued, and
+# runs that merge at different steps meet the cap at different places (on
+# these sets and seeds the first such merge comes at cap 4)
+@pytest.mark.parametrize("cap", [1, 2, 3, 4])
+@pytest.mark.parametrize("init", ["plusplus", "sample"])
+def test_lloyd_bit_identity_under_the_iteration_cap(monkeypatch, cap, init):
+    monkeypatch.setattr(cluster, "MAX_LLOYD_ITERS", cap)
+    monkeypatch.setitem(globals(), "MAX_LLOYD_ITERS", cap)
+    for d, K, scale in [(2, 2, 1.0), (2, 3, 2.0), (3, 3, 1.0)]:
+        assert_runs_match_reference(_blobs(10 * d + K, 300, d, K, scale), K,
+                                    restarts=100, seed=cap, init=init)
+    test_lloyd_bit_identity_on_reseeds_and_zero_cost(init)
+
+
+def test_restart_memo_and_fixed_point_exit_skip_assignments(monkeypatch):
+    calls = {"ours": 0, "ref": 0}
+
+    def counted(fn, name):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(cluster._Lloyd, "_assign",
+                        counted(cluster._Lloyd._assign, "ours"))
+    monkeypatch.setitem(globals(), "_ref_assign",
+                        counted(_ref_assign, "ref"))
+    pts = _blobs(22, 300, 2, 2, 1.0)
+    for restarts in (1, 100):
+        calls.update(ours=0, ref=0)
+        assert_matches_reference(pts, 2, restarts=restarts, seed=1,
+                                 init="plusplus")
+        if restarts == 1:
+            # the run ends at a fixed point: only its confirming step goes
+            assert calls["ours"] == calls["ref"] - 1
+        else:
+            # more than one step per run goes: runs take earlier outcomes
+            assert calls["ours"] < calls["ref"] - restarts
+
+
+def test_restarts_at_best_counts_runs_reaching_the_winning_cost():
+    # three far-apart tight clusters: every k-means++ run finds them
+    rng = np.random.default_rng(4)
+    pts = (np.repeat([[0.0, 0.0], [1000.0, 0.0], [0.0, 1000.0]], 20, axis=0)
+           + rng.standard_normal((60, 2)))
+    res = kmeans(pts, 3, restarts=25, seed=3)
+    assert res.restarts_used == res.restarts_at_best == 25
+    # the exact 1-D split is one run
+    assert kmeans(pts[:, 0], 2, restarts=25).restarts_at_best == 1
 
 
 def test_weighted_draw_matches_generator_choice():

@@ -77,11 +77,10 @@ def test_sample_determinism():
     assert (a.adjacency != b.adjacency).nnz == 0
 
 
-def test_sample_golden_digest():
-    # preset 1, repetition 0 of the experiment harness's stream: the digests
-    # pin the graph every simulation table is computed from
+def repetition0_digests(preset):
+    """Digests of the graph repetition 0 of the preset's harness draws."""
     from scorecd.experiments import PRESETS
-    cfg = PRESETS["1"]
+    cfg = PRESETS[preset]
     rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 0]))
     params = DCBMParams(K=cfg.K, A=cfg.a_matrix(), sizes=cfg.block_sizes(),
                         theta=permuted_theta(cfg.theta, cfg.n, rng))
@@ -91,9 +90,22 @@ def test_sample_golden_digest():
     for name in ("indptr", "indices", "data"):
         arr = np.asarray(getattr(adj, name), dtype=np.int64)
         digests[name] = hashlib.sha256(arr.tobytes()).hexdigest()[:16]
-    assert digests == {"indptr": "168bdd962efe0aa3",
-                       "indices": "58d01b94b35051bd",
-                       "data": "800514c4f24d8812"}
+    return digests
+
+
+def test_sample_golden_digest():
+    # preset 1, repetition 0 of the experiment harness's stream: the digests
+    # pin the graph every simulation table is computed from
+    assert repetition0_digests("1") == {"indptr": "168bdd962efe0aa3",
+                                        "indices": "58d01b94b35051bd",
+                                        "data": "800514c4f24d8812"}
+
+
+def test_sample_golden_digest_k3():
+    # the same for preset 2d (K = 3), whose rows gather from three A rows
+    assert repetition0_digests("2d") == {"indptr": "d14c3ab38639e213",
+                                         "indices": "4c4e4d257a55dadf",
+                                         "data": "3c762713fa849a07"}
 
 
 def test_sampling_frequencies_match_block_rates():
