@@ -103,6 +103,19 @@ class _StageClock:
         return {key: round(v, 3) for key, v in clocks.items()}
 
 
+def _json_with_labels(payload, labels):
+    """json.dumps({**payload, "labels": labels}, indent=2), byte for byte.
+
+    `payload` is a non-empty dict without a "labels" key and `labels` a list
+    of ints.  indent= selects json's pure-Python encoder, which would walk
+    the labels one by one; one join writes their block instead.
+    """
+    head = json.dumps(payload, indent=2)
+    block = ",\n    ".join(map(str, labels))
+    block = f"[\n    {block}\n  ]" if labels else "[]"
+    return f'{head[:-2]},\n  "labels": {block}\n}}'
+
+
 def _emit(text, out):
     if out:
         with open(out, "w") as fh:
@@ -168,7 +181,7 @@ def detect(input_spec, labels, k, method, threshold, tn, restarts, seed,
     if as_csv:
         lines = ["node,label"]
         lines += [f"{tok},{lab}" for tok, lab in
-                  zip(g.original_ids, result.labeling.labels)]
+                  zip(g.original_ids, result.labeling.labels.tolist())]
         _emit("\n".join(lines), out)
         return
     payload = {
@@ -186,8 +199,7 @@ def detect(input_spec, labels, k, method, threshold, tn, restarts, seed,
         payload.update(mismatches=ham.mismatches, rate=ham.rate,
                        best_perm=list(ham.best_perm))
     if as_json:
-        payload["labels"] = result.labeling.labels.tolist()
-        _emit(json.dumps(payload, indent=2), out)
+        _emit(_json_with_labels(payload, result.labeling.labels.tolist()), out)
     else:
         lines = [f"{key} = {value}" for key, value in payload.items()]
         _emit("\n".join(lines), out)
@@ -340,9 +352,9 @@ def eval_cmd(estimated, truth, k, as_json, out):
     `detect --csv` output); the truth file must label each of them.
     """
     with open(_resolve_path(estimated)) as fh:
-        est_lines = fh.readlines()
-    order = list(graph.read_labels(est_lines))
-    est_codes, _ = graph.load_labels(est_lines, order)
+        est = graph.read_labels(fh)
+    order = list(est)
+    est_codes, _ = graph.code_labels(est, order)
     with open(_resolve_path(truth)) as fh:
         tru_codes, _ = graph.load_labels(fh, order)
     K = k or max(est_codes.max(), tru_codes.max())

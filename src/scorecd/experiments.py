@@ -160,6 +160,8 @@ class RunReport:
     wall_clock: dict          # method -> total seconds across repetitions
     clustering: dict          # per-method kmeans overrides actually applied
     stage_clock: dict         # "sample"/"eigs" -> total s of the shared steps
+    restarts_at_best: dict    # method -> k-means runs ending at the best
+                              # cost, per repetition (restart agreement)
 
     def payload(self):
         """The deterministic portion, as plain JSON-ready data."""
@@ -175,7 +177,11 @@ class RunReport:
         }
 
     def to_json(self):
+        """payload() plus, under their own keys, restart agreement and the
+        clocks."""
         out = self.payload()
+        out["restarts_at_best"] = {m: list(v) for m, v in
+                                   self.restarts_at_best.items()}
         clocks = {**self.wall_clock, **self.stage_clock}
         out["wall_clock_s"] = {key: round(v, 3) for key, v in clocks.items()}
         return json.dumps(out, indent=2)
@@ -228,7 +234,7 @@ def _run_repetition(cfg, params_A, sizes, truth, master, r, T_n, restarts,
                                   seed=derived_seed(master, r, m), **knobs)
         ham = metrics.hamming_error(res.labeling.labels, truth0, cfg.K)
         out[m] = (ham.mismatches, ham.mismatches / g0.n,
-                  time.perf_counter() - t0)
+                  time.perf_counter() - t0, res.kmeans.restarts_at_best)
     return g0.n, out, stages
 
 
@@ -257,7 +263,7 @@ def run_experiment(cfg, seed=None, reps=None, T_n=math.inf,
             progress(r)
 
     n0 = tuple(row[0] for row in per_rep)
-    mismatches, rates, means, sds, wall = {}, {}, {}, {}, {}
+    mismatches, rates, means, sds, wall, at_best = {}, {}, {}, {}, {}, {}
     for m in cfg.methods:
         counts = tuple(row[1][m][0] for row in per_rep)
         rate = tuple(row[1][m][1] for row in per_rep)
@@ -265,8 +271,10 @@ def run_experiment(cfg, seed=None, reps=None, T_n=math.inf,
         mismatches[m], rates[m] = counts, rate
         means[m], sds[m] = mean, sd
         wall[m] = float(sum(row[1][m][2] for row in per_rep))
+        at_best[m] = tuple(row[1][m][3] for row in per_rep)
     stage_clock = {key: float(sum(row[2][key] for row in per_rep))
                    for key in ("sample", "eigs")}
     return RunReport(config=cfg, seed=master, n0=n0, mismatches=mismatches,
                      rates=rates, means=means, sds=sds, wall_clock=wall,
-                     clustering=policy, stage_clock=stage_clock)
+                     clustering=policy, stage_clock=stage_clock,
+                     restarts_at_best=at_best)

@@ -7,6 +7,7 @@ in ``original_ids`` so results can be reported against the source labels.
 
 import io
 from dataclasses import dataclass, field
+from operator import itemgetter
 
 import numpy as np
 import scipy.sparse as sp
@@ -73,20 +74,11 @@ def load_edge_list(source):
     is parsed vectorized (`_integer_edges`); any other text goes through the
     line loop, which gives the same Graph and reports every malformed line.
     """
-    if hasattr(source, "read"):
-        text, lines = source.read(), None
-    else:
-        lines = [line.removesuffix("\n") for line in source]
-        text = "\n".join(lines)
-    # a list item holding a line break is one line to the loop but two in
-    # the joined text, so only the loop may read that list
-    if lines is None or text.count("\n") < len(lines):
-        edges = _integer_edges(text)
-        if edges is not None:
-            pairs, ids = edges
-            return from_edges(pairs, n=len(ids), original_ids=ids)
-    if lines is None:
-        lines = io.StringIO(text)
+    text, lines = _read_text(source)
+    edges = None if text is None else _integer_edges(text)
+    if edges is not None:
+        pairs, ids = edges
+        return from_edges(pairs, n=len(ids), original_ids=ids)
     index = {}
     ends = []
     for line_no, raw in enumerate(lines, start=1):
@@ -105,6 +97,44 @@ def load_edge_list(source):
                       original_ids=tuple(index))
 
 
+def _read_text(source):
+    """(text, lines) of a file or an iterable of lines.
+
+    The line loops read `lines`; the vectorized paths read `text`, which is
+    None where its line breaks would not match those lines: a list item
+    holding a line break is one line to a loop but two in the joined text.
+    """
+    if hasattr(source, "read"):
+        text = source.read()
+        return text, _file_lines(text)
+    lines = [line.removesuffix("\n") for line in source]
+    text = "\n".join(lines)
+    return (text if text.count("\n") < len(lines) else None), lines
+
+
+def _file_lines(text):
+    """The lines of a file's text, copied only once a loop reads them."""
+    yield from io.StringIO(text)
+
+
+def _pair_tokens(buf, token):
+    """Token starts and ends of a text whose every line holds none or two.
+
+    `buf` holds the text's bytes and `token` flags its token bytes, padded
+    with a False at each end; every other byte must be a blank (space, tab,
+    CR or LF), and only LF ends a line.  Returns None for a text without
+    tokens or with a line of one, three or more tokens.
+    """
+    starts = np.flatnonzero(token[1:] > token[:-1])
+    if starts.size == 0 or starts.size % 2:
+        return None
+    line = np.searchsorted(np.flatnonzero(buf == ord("\n")), starts)
+    paired = ((line[0::2] == line[1::2]).all()
+              and (line[1:-1:2] < line[2::2]).all())
+    del line
+    return (starts, np.flatnonzero(token[:-1] > token[1:])) if paired else None
+
+
 def _integer_edges(text):
     """(m x 2 index pairs, node ids) of an all-integer edge list, or None.
 
@@ -114,6 +144,9 @@ def _integer_edges(text):
     and no leading zero ('07' and '7' are different nodes).  Then a token and
     its value name the same node, and the indices and ids equal the line
     loop's.  Any other text, including one without tokens, returns None.
+    Nodes are numbered by first appearance through a table indexed by value
+    when every value is below the token count (as with ids 0..n or 1..n),
+    and through a sort otherwise.
     """
     if not text.isascii():
         return None
@@ -127,20 +160,34 @@ def _integer_edges(text):
     if not allowed.all():
         return None
     del allowed
-    starts = np.flatnonzero(digit[1:] > digit[:-1])
-    lengths = np.flatnonzero(digit[:-1] > digit[1:])
-    lengths -= starts
+    tokens = _pair_tokens(buf, digit)
     del digit
-    if (starts.size == 0 or starts.size % 2 or lengths.max() > 18
+    if tokens is None:
+        return None
+    starts, lengths = tokens
+    lengths -= starts
+    if (lengths.max() > 18
             or ((buf[starts] == ord("0")) & (lengths > 1)).any()):
         return None
-    line = np.searchsorted(np.flatnonzero(buf == ord("\n")), starts)
-    if not ((line[0::2] == line[1::2]).all()
-            and (line[1:-1:2] < line[2::2]).all()):
-        return None
-    del buf, starts, lengths, line
-    # distinct values in sorted order, each with its first position
+    del buf, starts, lengths, tokens
     values = np.fromstring(text, dtype=np.int64, sep=" ")
+    n = values.size
+    top = int(values.max())
+    if top < n:
+        # each value's first position, in a table indexed by value
+        first = np.full(top + 1, n, dtype=np.int64)
+        pos = np.arange(n)
+        np.minimum.at(first, values, pos)
+        heads = values[first[values] == pos]  # distinct, by first position
+        del pos
+        # the table now maps each head to its node index; no other entry
+        # is read
+        first[heads] = np.arange(heads.size)
+        index = first[values]
+        del values, first
+        return index.reshape(-1, 2), tuple(map(str, heads.tolist()))
+    # values too large for a table: distinct values in sorted order, each
+    # with its first position
     order = np.argsort(values)
     values = values[order]
     head = np.empty(values.size, dtype=bool)
@@ -164,7 +211,10 @@ def _induced_subgraph(g, keep):
     keep = np.asarray(keep, dtype=np.int64)
     adj = g.adjacency[keep][:, keep].tocsr()
     adj.sort_indices()
-    ids = tuple(g.original_ids[i] for i in keep)
+    pick = keep.tolist()
+    # itemgetter of one index returns the bare item, not a 1-tuple
+    ids = (itemgetter(*pick)(g.original_ids) if len(pick) > 1
+           else tuple(g.original_ids[i] for i in pick))
     return Graph(n=keep.size, adjacency=adj, original_ids=ids), keep
 
 
@@ -173,14 +223,19 @@ def giant_component(g):
 
     Ties between equal-size components go to the one containing the smallest
     internal index (i.e. the earliest-appearing node token).  Returns the
-    subgraph and the array mapping new indices to old ones.
+    subgraph and the array mapping new indices to old ones.  The adjacency
+    is symmetric, so its strongly connected components are its connected
+    components; the directed search finds them without the transpose an
+    undirected search builds.
     """
     if g.n == 0:
         raise DataError("empty graph")
-    ncomp, comp = connected_components(g.adjacency, directed=False)
+    ncomp, comp = connected_components(g.adjacency, directed=True,
+                                       connection="strong")
     sizes = np.bincount(comp, minlength=ncomp)
     best = sizes.max()
-    # among components of maximal size, the one seen first wins
+    # among components of maximal size, the one seen first wins (whatever
+    # the numbering of the components)
     winner = comp[np.argmax(sizes[comp] == best)]
     return _induced_subgraph(g, np.nonzero(comp == winner)[0])
 
@@ -200,13 +255,22 @@ def remove_isolated(g):
 def read_labels(source):
     """Parse a label file into a {node_token: label_token} dict in file order.
 
-    One "node label" pair per line, separated by whitespace or a comma, so the
-    `node,label` CSV that `detect --csv` writes reads back; that header line,
-    blank lines and lines starting with '#' or '%' are skipped.  A node listed
-    twice with different labels is an error, as is a file with no pairs.
+    `source` is an open text file, read whole, or an iterable of lines; a
+    file's lines end at line feeds, as in load_edge_list.  One "node label"
+    pair per line, separated by whitespace or a comma, so the `node,label`
+    CSV that `detect --csv` writes reads back; that header line, blank lines
+    and lines starting with '#' or '%' are skipped.  A node listed twice with
+    different labels is an error, as is a file with no pairs.  A text of
+    plain pairs (see _label_table) is read by one split; any other text goes
+    through the line loop, which gives the same table and reports every
+    malformed line.
     """
+    text, lines = _read_text(source)
+    table = None if text is None else _label_table(text)
+    if table is not None:
+        return table
     table = {}
-    for line_no, raw in enumerate(source, start=1):
+    for line_no, raw in enumerate(lines, start=1):
         line = raw.strip()
         if not line or line[0] in "#%":
             continue
@@ -224,15 +288,43 @@ def read_labels(source):
     return table
 
 
-def load_labels(source, id_order):
-    """Read ground-truth labels (see read_labels for the file format).
+def _label_table(text):
+    """read_labels' table of a label text of plain pairs, or None.
 
-    Returns an integer label vector aligned with `id_order` (labels coded
-    1..K by first appearance along that order) plus the token-to-code map.
-    Unlabeled nodes are an error.
+    Applies only when every non-blank line holds two tokens split by blanks
+    (space, tab, CR), the text holds no '#', '%' or ',', its first pair is
+    not the `node label` header and no node repeats.  Then one split of the
+    whole text gives the loop's pairs in file order.  Any other text,
+    including one without tokens, returns None.
     """
-    table = read_labels(source)
-    labs = [table.get(str(t)) for t in id_order]
+    if "#" in text or "%" in text or "," in text:
+        return None
+    buf = np.frombuffer(text.encode("utf-8", "surrogatepass"), dtype=np.uint8)
+    token = np.ones(buf.size + 2, dtype=bool)
+    token[0] = token[-1] = False
+    for blank in b" \t\r\n":
+        token[1:-1] &= buf != blank
+    if _pair_tokens(buf, token) is None:
+        return None
+    toks = text.split()
+    # str.split also breaks at other whitespace (form feed, U+00A0, ...),
+    # which the byte check counted as token bytes: the tokens must keep
+    # every character that is not a blank
+    blanks = buf.size - np.count_nonzero(token)
+    if (len("".join(toks)) != len(text) - blanks
+            or toks[:2] == ["node", "label"]):
+        return None
+    table = dict(zip(toks[0::2], toks[1::2]))
+    return table if 2 * len(table) == len(toks) else None
+
+
+def code_labels(table, id_order):
+    """Label vector aligned with `id_order` from a read_labels table.
+
+    Labels are coded 1..K by first appearance along `id_order`; returns the
+    vector and the label-to-code map.  Unlabeled nodes are an error.
+    """
+    labs = list(map(table.get, map(str, id_order)))
     if None in labs:
         missing = [str(t) for t, lab in zip(id_order, labs) if lab is None]
         raise DataError(f"{len(missing)} nodes have no ground-truth label "
@@ -241,3 +333,13 @@ def load_labels(source, id_order):
     out = np.fromiter(map(codes.__getitem__, labs), dtype=np.int64,
                       count=len(labs))
     return out, codes
+
+
+def load_labels(source, id_order):
+    """Read ground-truth labels aligned with `id_order`.
+
+    The file format is read_labels'; the coding is code_labels': an integer
+    vector of labels 1..K by first appearance along `id_order`, plus the
+    label-to-code map.  Unlabeled nodes are an error.
+    """
+    return code_labels(read_labels(source), id_order)

@@ -1,5 +1,6 @@
 """Shared test helpers: random model instances and dataset discovery."""
 
+import importlib.util
 import os
 from pathlib import Path
 
@@ -8,6 +9,8 @@ import pytest
 
 from scorecd import DCBMParams, block_labels
 from scorecd.errors import DegeneracyError
+
+GEN_DETECT = Path(__file__).resolve().parents[1] / "scorebench/gen_detect.py"
 
 
 def random_dcbm(rng, n_max=256, k_choices=(1, 2, 3, 4), eigengap_min=None):
@@ -65,3 +68,14 @@ def find_polblogs():
 @pytest.fixture
 def rng():
     return np.random.default_rng(20130825)
+
+
+@pytest.fixture(scope="session")
+def detect_large_dir(tmp_path_factory):
+    """Directory of the files scorebench/gen_detect.py writes for --seed 1."""
+    spec = importlib.util.spec_from_file_location("gen_detect", GEN_DETECT)
+    gen = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(gen)
+    out = tmp_path_factory.mktemp("detect-large")
+    gen.write_inputs(1, out)
+    return out

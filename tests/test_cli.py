@@ -1,14 +1,18 @@
 import contextlib
 import gc
+import hashlib
 import io
 import json
+import math
 import pathlib
 import tempfile
 import weakref
+from unittest import mock
 
 import pytest
 from click.testing import CliRunner
 
+from scorecd import cli, graph
 from scorecd.cli import main
 
 
@@ -247,3 +251,53 @@ def test_eval_scores_the_estimated_nodes(tmp_path):
     payload = json.loads(res.output)
     assert payload["n"] == 3
     assert payload["mismatches"] == 1
+
+
+def test_detect_json_golden_on_the_seed_1_network(detect_large_dir):
+    # recorded with json.dumps(payload, indent=2) writing the whole payload
+    res = run("detect", "--input", str(detect_large_dir / "edges.txt"),
+              "--labels", str(detect_large_dir / "labels.txt"), "--k", "2",
+              "--threshold", "0", "--json")
+    assert res.exit_code == 0
+    text = res.output
+    payload = json.loads(text)
+    for key in ("input", "wall_clock_s", "labels"):
+        payload.pop(key)
+    assert payload == {"method": "score", "K": 2, "seed": 0,
+                       "n_loaded": 46297, "n0": 46271, "edges": 299029,
+                       "threshold": 0.0, "truncated_entries": 0,
+                       "mismatches": 7211, "rate": 0.15584275247995505,
+                       "best_perm": [1, 2]}
+    block = text[text.index('  "labels": ['):text.rindex("\n}")]
+    assert hashlib.sha256(block.encode()).hexdigest() == (
+        "b0403a22ded1fccae2dbac77f46b7a95dadeef837ea89a019d9e3fc61c3b4d2d")
+
+
+@pytest.mark.parametrize("extra", [(), ("--threshold", "0")])
+def test_detect_json_bytes_equal_json_dumps(extra):
+    res = run("detect", "--input", "builtin:karate", "--k", "2", "--json",
+              *extra)
+    assert res.exit_code == 0
+    assert res.output == json.dumps(json.loads(res.output), indent=2) + "\n"
+
+
+@pytest.mark.parametrize("payload, labels", [
+    ({"a": 1}, [1, 2, 2]), ({"a": 1}, [7]), ({"a": 1}, []),
+    ({"t": math.nan, "p": [1, 2], "d": {"x": None}, "s": "\u00e9\""},
+     [3, 1, 10, 2])])
+def test_json_with_labels_equals_json_dumps(payload, labels):
+    assert cli._json_with_labels(payload, labels) == json.dumps(
+        {**payload, "labels": labels}, indent=2)
+
+
+def test_eval_reads_each_file_once(tmp_path):
+    truth = tmp_path / "truth.txt"
+    est = tmp_path / "est.txt"
+    truth.write_text("a 1\nb 1\nc 2\nd 2\n")
+    est.write_text("a x\nb x\nc x\nd y\n")
+    with mock.patch.object(graph, "read_labels",
+                           wraps=graph.read_labels) as read:
+        res = run("eval", "--estimated", str(est), "--truth", str(truth))
+    assert res.exit_code == 0
+    assert read.call_count == 2
+    assert "mismatches = 1" in res.output

@@ -86,6 +86,17 @@ def test_json_reports_sample_and_eigs_stage_totals():
     assert "wall_clock_s" not in report.payload()
 
 
+def test_json_reports_restart_agreement_outside_the_payload():
+    report = run_experiment(tiny_config(), restarts=10)
+    agreement = json.loads(report.to_json())["restarts_at_best"]
+    assert agreement["score"] == [1, 1, 1]  # the exact 1-D split
+    assert len(agreement["opca"]) == 3
+    assert all(1 <= k <= 10 for k in agreement["opca"])
+    assert agreement == {m: list(v) for m, v in
+                         report.restarts_at_best.items()}
+    assert "restarts_at_best" not in report.payload()
+
+
 def test_run_experiment_deterministic():
     a = run_experiment(tiny_config(), restarts=10)
     b = run_experiment(tiny_config(), restarts=10)

@@ -1,20 +1,17 @@
 import hashlib
-import importlib.util
 import io
-from pathlib import Path
 from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.sparse.csgraph import connected_components
 
 from scorecd import (DCBMParams, block_labels, from_edges, giant_component,
                      graph, load_edge_list, load_labels, remove_isolated,
                      sample_adjacency)
 from scorecd.errors import DataError, ParseError
-
-GEN_DETECT = Path(__file__).resolve().parents[1] / "scorebench/gen_detect.py"
 
 
 def load(text):
@@ -229,20 +226,23 @@ def test_parse_error_line_number_and_message(bad, count, good, form):
                               f"got {count}: {bad!r}")
 
 
-@pytest.fixture(scope="module")
-def detect_large_edges(tmp_path_factory):
-    """The edge list scorebench/gen_detect.py writes for --seed 1."""
-    spec = importlib.util.spec_from_file_location("gen_detect", GEN_DETECT)
-    gen = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(gen)
-    out = tmp_path_factory.mktemp("detect-large")
-    gen.write_inputs(1, out)
-    return out / "edges.txt"
+@pytest.mark.parametrize("text", [
+    # largest value below the token count: the table indexed by value
+    "0 1\n", "1 2\n2 3\n", "3 0\n0 3\n2 2\n", "5 4\n4 5\n0 1\n",
+    # largest value at or above it: the sort
+    "0 2\n", "1 4\n2 3\n", "7 7\n", "60 3\n3 1\n",
+    # 18-digit values, alone and beside small ones
+    "999999999999999999 100000000000000000\n",
+    "0 999999999999999999\n999999999999999999 1\n1 0\n"])
+def test_dense_table_bound_equals_line_loop(text):
+    assert graph._integer_edges(text) is not None
+    for make in (lambda: io.StringIO(text), lambda: text.split("\n")):
+        assert outcome(load_edge_list, make()) == outcome(load_by_loop, make())
 
 
-def test_detect_large_graph_golden_digest(detect_large_edges):
+def test_detect_large_graph_golden_digest(detect_large_dir):
     # recorded with the line-loop parser; the vectorized path must match it
-    with open(detect_large_edges) as fh:
+    with open(detect_large_dir / "edges.txt") as fh:
         g = load_edge_list(fh)
     adj = g.adjacency
     assert g.n == 46297 and adj.data.dtype == np.int8
@@ -258,8 +258,9 @@ def test_detect_large_graph_golden_digest(detect_large_edges):
                        "original_ids": "ba9e1b218767f6f6"}
 
 
-def test_detect_large_text_takes_the_fast_path(detect_large_edges):
-    assert graph._integer_edges(detect_large_edges.read_text()) is not None
+def test_detect_large_text_takes_the_fast_path(detect_large_dir):
+    assert graph._integer_edges((detect_large_dir / "edges.txt").read_text()
+                                ) is not None
 
 
 def test_giant_component_prefers_larger():
@@ -352,3 +353,117 @@ def test_labels_loader_first_appearance_coding():
     assert codes == {"blue": 1, "red": 2}
     with pytest.raises(DataError, match="no ground-truth label"):
         load_labels(io.StringIO("n1 blue\n"), g.original_ids)
+
+
+def test_giant_component_of_one_node_or_isolated_nodes():
+    sub, idx = giant_component(from_edges([], n=1, original_ids=("x",)))
+    assert sub.original_ids == ("x",) and sub.n == 1
+    sub, idx = giant_component(from_edges([], n=3, original_ids="abc"))
+    assert sub.original_ids == ("a",) and np.array_equal(idx, [0])
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.tuples(st.integers(0, 29), st.integers(0, 29)),
+                max_size=40))
+def test_giant_component_equals_undirected_components(pairs):
+    g = from_edges(pairs, n=30)
+    ncomp, comp = connected_components(g.adjacency, directed=False)
+    sizes = np.bincount(comp, minlength=ncomp)
+    first_largest = comp[np.argmax(sizes[comp] == sizes.max())]
+    sub, idx = giant_component(g)
+    assert np.array_equal(idx, np.flatnonzero(comp == first_largest))
+    assert sub.original_ids == tuple(idx.tolist())
+    assert (sub.adjacency != g.adjacency[idx][:, idx]).nnz == 0
+
+
+def read_by_loop(source):
+    """read_labels with the one-split fast path switched off."""
+    with mock.patch.object(graph, "_label_table", lambda text: None):
+        return graph.read_labels(source)
+
+
+def label_outcome(read, make, id_order):
+    """Table (in order), vector and codes of a label text, or the error."""
+    try:
+        table = read(make())
+        labels, codes = graph.code_labels(table, id_order)
+    except DataError as exc:
+        return type(exc), str(exc), getattr(exc, "line_no", None)
+    return (list(table.items()), labels.dtype, labels.tolist(),
+            list(codes.items()))
+
+
+NODE_STEMS = st.sampled_from(["a", "n", "1", "10", "\u00e9", "\u0436x"])
+LABEL_TOKENS = st.sampled_from(["1", "2", "red", "blue", "\u00e9"])
+# per generated text, at most one kind of line the fast path refuses
+LABEL_FLAVORS = ("clean", "header", "comma", "comment", "repeat same",
+                 "repeat conflict", "odd whitespace", "odd separator",
+                 "token count")
+
+
+@st.composite
+def label_text(draw, flavor):
+    """Label-file lines with their endings, plus the node tokens they name."""
+    odd_space = st.sampled_from(["\f", "\v", "\x1c", "\u00a0", "\u2003"])
+    inner = odd_space if flavor == "odd whitespace" else st.just("")
+    nodes = [draw(NODE_STEMS) + draw(inner) + str(i)
+             for i in range(draw(st.integers(1, 8)))]
+    pairs = [[node, draw(LABEL_TOKENS)] for node in nodes]
+    rows = [draw(BLANKS).join(pair) for pair in pairs]
+    odd_seps = {"comma": st.sampled_from([",", " , ", ", ", " ,"]),
+                "odd separator": odd_space | odd_space.map(" ".__add__)}
+    if flavor in odd_seps:  # one pair split by a comma or odd whitespace
+        k = draw(st.integers(0, len(rows) - 1))
+        rows[k] = draw(odd_seps[flavor]).join(pairs[k])
+    if flavor in ("repeat same", "repeat conflict"):
+        node, lab = draw(st.sampled_from(pairs))
+        if flavor == "repeat conflict":
+            lab = draw(LABEL_TOKENS.filter(lambda other: other != lab))
+        rows.insert(draw(st.integers(0, len(rows))), f"{node} {lab}")
+    odd = {"header": ["node label", "node,label", "node\tlabel"],
+           "comment": ["# 1 2", "% 3", "#", "a#b 1"],
+           "token count": ["a", "b 1 c", "x y z w"]}.get(flavor)
+    if odd:
+        rows.insert(draw(st.integers(0, len(rows))),
+                    draw(st.sampled_from(odd)))
+    for _ in range(draw(st.integers(0, 2))):
+        rows.insert(draw(st.integers(0, len(rows))),
+                    draw(st.sampled_from(["", " ", "\t", "\r"])))
+    lines = [draw(st.sampled_from(["", " ", "\t"])) + row
+             + draw(st.sampled_from(["", " ", "\t"]))
+             + draw(st.sampled_from(["\n", "\r\n"])) for row in rows]
+    if draw(st.booleans()):
+        lines[-1] = lines[-1].rstrip("\r\n")  # no final newline
+    return lines, nodes
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_label_fast_path_equals_line_loop(data):
+    flavor = data.draw(st.sampled_from(LABEL_FLAVORS))
+    lines, nodes = data.draw(label_text(flavor))
+    text = "".join(lines)
+    if flavor == "clean":
+        assert graph._label_table(text) is not None
+    # ids in any order, some as ints, some missing from the file
+    ids = data.draw(st.permutations(nodes))[:data.draw(
+        st.integers(1, len(nodes)))]
+    ids = [int(t) if t.isdigit() and data.draw(st.booleans()) else t
+           for t in ids]
+    if data.draw(st.booleans()):
+        ids.insert(data.draw(st.integers(0, len(ids))), "missing")
+    for make in (lambda: io.StringIO(text), lambda: list(lines),
+                 lambda: [line.rstrip("\n") for line in lines]):
+        assert (label_outcome(graph.read_labels, make, ids)
+                == label_outcome(read_by_loop, make, ids))
+
+
+@pytest.mark.parametrize("text", [
+    "node label\na 1\n", "node,label\na,1\n", "a 1\nnode label\n",
+    "a 1\r\nb\t2\r\n", "\u00e9 x\n\u00e8 y", "a 1\na 1\n", "a 1\na 2\n",
+    "a 1\n# b 2\n", "a\u00a0b 1\n", "a\u00a0b 1\nc\u00a0d 2\n", "a, 1\n",
+    "a 1 2\n", "\n \n", "", "a 1\rb 2\n"])
+def test_label_edge_cases_equal_line_loop(text):
+    for make in (lambda: io.StringIO(text), lambda: text.split("\n")):
+        assert (label_outcome(graph.read_labels, make, ["a"])
+                == label_outcome(read_by_loop, make, ["a"]))
