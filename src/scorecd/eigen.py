@@ -4,10 +4,11 @@
 matter: adjacency matrices routinely carry large negative eigenvalues.  Large
 problems go through ARPACK's implicitly restarted Lanczos
 (`scipy.sparse.linalg.eigsh`, which="LM") from a seeded start vector.  Small
-problems (n <= 512, or K >= n - 1, which ARPACK cannot do) go through a dense
-symmetric eigendecomposition instead, which also serves as the exactness
-reference in the test suite.  Both paths recompute every residual and share
-one ordering and one sign convention.
+problems (n <= DENSE_CUTOFF = 512, or K >= n - 1, which ARPACK cannot do) go
+through a dense symmetric eigendecomposition instead, which also serves as the
+exactness reference in the test suite; tests that need ARPACK on a small
+matrix lower DENSE_CUTOFF.  Both paths recompute every residual and share one
+ordering and one sign convention.
 """
 
 from dataclasses import dataclass
@@ -87,8 +88,7 @@ def _magnitude_order(values, tol=0.0):
     return out
 
 
-def leading_eigs(op, K, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER, seed=0,
-                 method="auto"):
+def leading_eigs(op, K, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER, seed=0):
     """The K leading (largest-|lambda|) eigenpairs of a symmetric operator.
 
     `op` may be a Graph, a scipy sparse matrix or a dense ndarray.  Symmetry
@@ -97,17 +97,13 @@ def leading_eigs(op, K, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER, seed=0,
     NonConvergenceError otherwise), and its largest-magnitude entry made
     positive.  The iterative path starts ARPACK from a seeded uniform random
     vector, so results are reproducible, and gives up after `max_iter`
-    restarts.  `method` forces the 'dense' or the 'arpack' path; 'auto' uses
-    dense for n <= 512.  K >= n - 1 always goes dense.
+    restarts.  n <= DENSE_CUTOFF and K >= n - 1 go dense.
     """
     mat = _as_operator(op)
     n = mat.shape[0]
     if not 1 <= K <= n:
         raise ValueError(f"K must be in [1, {n}], got {K}")
-    if method not in ("auto", "dense", "arpack"):
-        raise ValueError(f"unknown method {method!r}")
-    if method == "dense" or K >= n - 1 or (method == "auto"
-                                           and n <= DENSE_CUTOFF):
+    if n <= DENSE_CUTOFF or K >= n - 1:
         vals, vecs = np.linalg.eigh(mat.toarray() if sp.issparse(mat) else mat)
     else:
         v0 = np.random.default_rng(seed).random(n)

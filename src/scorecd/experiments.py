@@ -161,12 +161,19 @@ class RunReport:
     clustering: dict          # per-method kmeans overrides actually applied
     stage_clock: dict         # "sample"/"eigs" -> total s of the shared steps
     restarts_at_best: dict    # method -> k-means runs ending at the best
-                              # cost, per repetition (restart agreement)
+                              # cost, per repetition (restart agreement;
+                              # None where no k-means ran, as at K = 1)
 
     def payload(self):
         """The deterministic portion, as plain JSON-ready data."""
+        cfg = self.config
         return {
-            "config": json.loads(config_to_json(self.config)),
+            "config": {
+                "id": cfg.id, "n": cfg.n, "K": cfg.K, "rep": cfg.rep,
+                "A": [list(r) for r in cfg.A],
+                "theta": {"kind": cfg.theta.kind, **cfg.theta.params},
+                "methods": list(cfg.methods), "seed": cfg.seed,
+            },
             "seed": self.seed,
             "clustering": {m: dict(v) for m, v in self.clustering.items()},
             "n0": list(self.n0),
@@ -204,15 +211,6 @@ class RunReport:
         return "\n".join(lines) + "\n"
 
 
-def config_to_json(cfg):
-    return json.dumps({
-        "id": cfg.id, "n": cfg.n, "K": cfg.K, "rep": cfg.rep,
-        "A": [list(r) for r in cfg.A],
-        "theta": {"kind": cfg.theta.kind, **cfg.theta.params},
-        "methods": list(cfg.methods), "seed": cfg.seed,
-    })
-
-
 def _run_repetition(cfg, params_A, sizes, truth, master, r, T_n, restarts,
                     clustering):
     t0 = time.perf_counter()
@@ -234,7 +232,8 @@ def _run_repetition(cfg, params_A, sizes, truth, master, r, T_n, restarts,
                                   seed=derived_seed(master, r, m), **knobs)
         ham = metrics.hamming_error(res.labeling.labels, truth0, cfg.K)
         out[m] = (ham.mismatches, ham.mismatches / g0.n,
-                  time.perf_counter() - t0, res.kmeans.restarts_at_best)
+                  time.perf_counter() - t0,
+                  None if res.kmeans is None else res.kmeans.restarts_at_best)
     return g0.n, out, stages
 
 
@@ -249,6 +248,8 @@ def run_experiment(cfg, seed=None, reps=None, T_n=math.inf,
     """
     master = cfg.seed if seed is None else int(seed)
     n_reps = cfg.rep if reps is None else int(reps)
+    if n_reps < 1:
+        raise ValueError(f"reps must be >= 1, got {n_reps}")
     sizes = cfg.block_sizes()
     truth = dcbm.block_labels(sizes)
     params_A = cfg.a_matrix()

@@ -144,9 +144,9 @@ def _integer_edges(text):
     and no leading zero ('07' and '7' are different nodes).  Then a token and
     its value name the same node, and the indices and ids equal the line
     loop's.  Any other text, including one without tokens, returns None.
-    Nodes are numbered by first appearance through a table indexed by value
-    when every value is below the token count (as with ids 0..n or 1..n),
-    and through a sort otherwise.
+    Nodes are numbered by first appearance through a table indexed by value;
+    values at or above the token count are first replaced by their rank
+    among the distinct values, so the table stays below it.
     """
     if not text.isascii():
         return None
@@ -172,38 +172,24 @@ def _integer_edges(text):
     del buf, starts, lengths, tokens
     values = np.fromstring(text, dtype=np.int64, sep=" ")
     n = values.size
-    top = int(values.max())
-    if top < n:
-        # each value's first position, in a table indexed by value
-        first = np.full(top + 1, n, dtype=np.int64)
-        pos = np.arange(n)
-        np.minimum.at(first, values, pos)
-        heads = values[first[values] == pos]  # distinct, by first position
-        del pos
-        # the table now maps each head to its node index; no other entry
-        # is read
-        first[heads] = np.arange(heads.size)
-        index = first[values]
-        del values, first
-        return index.reshape(-1, 2), tuple(map(str, heads.tolist()))
-    # values too large for a table: distinct values in sorted order, each
-    # with its first position
-    order = np.argsort(values)
-    values = values[order]
-    head = np.empty(values.size, dtype=bool)
-    head[0] = True
-    np.not_equal(values[1:], values[:-1], out=head[1:])
-    heads = np.flatnonzero(head)
-    by_first = np.argsort(np.minimum.reduceat(order, heads))
-    ids = tuple(map(str, values[heads[by_first]].tolist()))
-    rank = np.empty(heads.size, dtype=np.int64)
-    rank[by_first] = np.arange(heads.size)
-    # each sorted token's distinct-value number, then its node index, written
-    # back in file order over the same buffer
-    index = np.cumsum(head, out=values)
-    index -= 1
-    index[order] = rank[index]
-    return index.reshape(-1, 2), ids
+    distinct = None
+    if values.max() >= n:
+        # too large for a table: each value becomes its rank among the
+        # distinct values, which names the same nodes in the same order
+        distinct, values = np.unique(values, return_inverse=True)
+    # each value's first position, in a table indexed by value
+    first = np.full(int(values.max()) + 1, n, dtype=np.int64)
+    pos = np.arange(n)
+    np.minimum.at(first, values, pos)
+    heads = values[first[values] == pos]  # distinct, by first position
+    del pos
+    # the table now maps each head to its node index; no other entry is read
+    first[heads] = np.arange(heads.size)
+    index = first[values]
+    del values, first
+    if distinct is not None:
+        heads = distinct[heads]
+    return index.reshape(-1, 2), tuple(map(str, heads.tolist()))
 
 
 def _induced_subgraph(g, keep):

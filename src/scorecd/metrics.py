@@ -1,14 +1,16 @@
-"""Permutation-minimized Hamming error and run summary statistics."""
+"""Permutation-minimized Hamming error and run summary statistics.
 
-import itertools
+The minimum over all K! relabelings of the truth is a maximum-trace matching
+on the K x K confusion matrix, found by `linear_sum_assignment`.  Among tied
+optimal matchings the lexicographically first is reported.
+"""
+
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
 from .cluster import Labeling
-
-EXHAUSTIVE_K = 8
 
 
 @dataclass(frozen=True, eq=False)
@@ -32,30 +34,43 @@ def _confusion(estimated, truth, K):
     return conf
 
 
-def _best_perm_exhaustive(conf, K):
-    best_perm, best_score = None, -1
-    for perm in itertools.permutations(range(1, K + 1)):
-        score = sum(conf[perm[b] - 1, b] for b in range(K))
-        if score > best_score:
-            best_perm, best_score = perm, score
-    return best_perm, best_score
+def _best_perm(conf):
+    """The lexicographically first maximum-trace matching, and its trace.
+
+    True labels 1..K in turn take the lowest free estimated label that still
+    completes an optimal matching; `match` holds one such completion, so
+    only labels below the one it gives need a test.
+    """
+    K = conf.shape[0]
+    rows, cols = linear_sum_assignment(conf, maximize=True)
+    best = int(conf[rows, cols].sum())
+    match = np.empty(K, dtype=np.int64)
+    match[cols] = rows
+    free = list(range(K))
+    fixed = 0
+    for b in range(K):
+        for a in free:
+            if a == match[b]:
+                break
+            rest = np.array([r for r in free if r != a], dtype=np.int64)
+            sub = conf[rest, b + 1:]
+            r, c = linear_sum_assignment(sub, maximize=True)
+            if fixed + conf[a, b] + sub[r, c].sum() == best:
+                match[b] = a
+                match[b + 1 + c] = rest[r]
+                break
+        fixed += conf[match[b], b]
+        free.remove(match[b])
+    return tuple((match + 1).tolist()), best
 
 
-def _best_perm_assignment(conf, K):
-    # maximum-trace matching; equivalent to the exhaustive minimum
-    rows, cols = linear_sum_assignment(-conf)
-    perm = np.empty(K, dtype=np.int64)
-    perm[cols] = rows + 1
-    return tuple(int(p) for p in perm), int(conf[rows, cols].sum())
-
-
-def hamming_error(estimated, truth, K, force=None):
+def hamming_error(estimated, truth, K):
     """Minimum mismatch count between two labelings over label permutations.
 
-    Both inputs are Labelings or integer vectors with labels in 1..K.  Up to
-    K = 8 the search is exhaustive; beyond that an optimal assignment on the
-    confusion matrix gives the same minimum at bounded cost.  `force` pins the
-    strategy to 'exhaustive' or 'assignment' (used for cross-checks).
+    Both inputs are Labelings or integer vectors with labels in 1..K.  An
+    optimal assignment on the confusion matrix gives the minimum over all K!
+    relabelings; on ties `best_perm` is the lexicographically first optimal
+    one, the permutation an exhaustive search in lexicographic order keeps.
     """
     est = estimated.labels if isinstance(estimated, Labeling) else np.asarray(estimated)
     tru = truth.labels if isinstance(truth, Labeling) else np.asarray(truth)
@@ -71,16 +86,10 @@ def hamming_error(estimated, truth, K, force=None):
             raise ValueError(f"{name} labels must lie in 1..{K}")
 
     conf = _confusion(est, tru, K)
-    strategy = force or ("exhaustive" if K <= EXHAUSTIVE_K else "assignment")
-    if strategy == "exhaustive":
-        perm, matched = _best_perm_exhaustive(conf, K)
-    elif strategy == "assignment":
-        perm, matched = _best_perm_assignment(conf, K)
-    else:
-        raise ValueError(f"unknown strategy {strategy!r}")
-    mismatches = int(n - matched)
+    perm, matched = _best_perm(conf)
+    mismatches = n - matched
     return HammingResult(mismatches=mismatches, rate=mismatches / n,
-                         best_perm=tuple(perm), confusion=conf)
+                         best_perm=perm, confusion=conf)
 
 
 def summarize(values):

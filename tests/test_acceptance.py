@@ -19,6 +19,7 @@ from scorecd import (PRESETS, block_labels, build_omega, diagnostics,
                      population_ratio_matrix, run_experiment, run_method,
                      sample_adjacency, score_ratio)
 from scorecd import dcbm as dcbm_mod
+from scorecd import eigen as eigen_mod
 from scorecd.graph import giant_component, load_edge_list, load_labels
 from scorecd.cli import _load_graph
 from scorecd.seeding import derived_seed
@@ -255,7 +256,7 @@ def _exhaustive_kmeans_cost(points, K):
     return best
 
 
-def test_criterion_9_property_suites(capsys, oracle_instances):
+def test_criterion_9_property_suites(capsys, oracle_instances, monkeypatch):
     notes = []
 
     # k-means equals the exhaustive optimum on small instances
@@ -283,24 +284,26 @@ def test_criterion_9_property_suites(capsys, oracle_instances):
 
     # iterative and dense eigensolver paths agree up to n = 512
     eig_ok = True
-    for n, reps in ((64, 60), (128, 30), (256, 15), (512, 5)):
-        for rep in range(reps):
-            erng = np.random.default_rng(9000 * n + rep)
-            M = erng.standard_normal((n, n))
-            M = (M + M.T) / 2
-            K = int(erng.integers(1, 5))
-            spec = leading_eigs(M, K, method="arpack", seed=rep)
-            vals, vecs = np.linalg.eigh(M)
-            order = sorted(range(n),
-                           key=lambda i: (-abs(vals[i]), vals[i] < 0))[:K]
-            eig_ok &= np.allclose(spec.values, vals[order], rtol=1e-10,
-                                  atol=1e-12)
-            for k, idx in enumerate(order):
-                v = vecs[:, idx]
-                got = spec.pairs[k].vector
-                if got @ v < 0:
-                    v = -v
-                eig_ok &= bool(np.linalg.norm(got - v) < 1e-6)
+    with monkeypatch.context() as patch:
+        patch.setattr(eigen_mod, "DENSE_CUTOFF", 0)  # ARPACK at every n
+        for n, reps in ((64, 60), (128, 30), (256, 15), (512, 5)):
+            for rep in range(reps):
+                erng = np.random.default_rng(9000 * n + rep)
+                M = erng.standard_normal((n, n))
+                M = (M + M.T) / 2
+                K = int(erng.integers(1, 5))
+                spec = leading_eigs(M, K, seed=rep)
+                vals, vecs = np.linalg.eigh(M)
+                order = sorted(range(n),
+                               key=lambda i: (-abs(vals[i]), vals[i] < 0))[:K]
+                eig_ok &= np.allclose(spec.values, vals[order], rtol=1e-10,
+                                      atol=1e-12)
+                for k, idx in enumerate(order):
+                    v = vecs[:, idx]
+                    got = spec.pairs[k].vector
+                    if got @ v < 0:
+                        v = -v
+                    eig_ok &= bool(np.linalg.norm(got - v) < 1e-6)
     notes.append(f"lanczos-vs-dense (110 seeds) ok={eig_ok}")
 
     # Perron positivity on 100 random connected graphs

@@ -131,6 +131,24 @@ def test_experiment_deterministic_json():
     assert pa["config"]["id"] == "smoke"
 
 
+def test_experiment_k1_config_records_no_restart_agreement(tmp_path):
+    path = tmp_path / "cfg.txt"
+    path.write_text("n = 200\nK = 1\nrep = 2\nA = 1\n"
+                    "theta = constant c=0.3\nmethods = score\n")
+    res = run("experiment", "--config", str(path), "--json")
+    assert res.exit_code == 0
+    out = json.loads(res.stdout)
+    assert out["mismatches"] == {"score": [0, 0]}
+    assert out["restarts_at_best"] == {"score": [None, None]}  # no k-means
+
+
+@pytest.mark.parametrize("reps", ["0", "-1"])
+def test_experiment_rejects_fewer_than_one_rep(reps):
+    result = CliRunner().invoke(main, ["experiment", "1", "--reps", reps])
+    assert result.exit_code == 2
+    assert f"reps must be >= 1, got {reps}" in result.output
+
+
 def test_experiment_unknown_preset():
     result = CliRunner().invoke(main, ["experiment", "9z"])
     assert result.exit_code == 2

@@ -3,6 +3,7 @@ import pytest
 
 from scorecd import (DCBMParams, block_labels, build_omega, leading_eigs,
                      sample_adjacency)
+from scorecd import eigen
 from scorecd.errors import NonConvergenceError
 from scorecd.graph import from_edges, giant_component
 
@@ -54,13 +55,14 @@ def test_two_community_expectation_matches_closed_form(rng):
 
 @pytest.mark.parametrize("n,reps", [(8, 30), (64, 40), (128, 25),
                                     (256, 10), (512, 5)])
-def test_lanczos_agrees_with_dense_oracle(n, reps):
+def test_lanczos_agrees_with_dense_oracle(n, reps, monkeypatch):
+    monkeypatch.setattr(eigen, "DENSE_CUTOFF", 0)  # ARPACK at every n
     for rep in range(reps):
         rng = np.random.default_rng(1000 * n + rep)
         M = rng.standard_normal((n, n))
         M = (M + M.T) / 2
         K = int(rng.integers(1, 5))
-        spec = leading_eigs(M, K, method="arpack", seed=rep)
+        spec = leading_eigs(M, K, seed=rep)
         vals, vecs = dense_oracle(M, K)
         assert np.allclose(spec.values, vals, rtol=1e-10, atol=1e-12)
         for k in range(K):
@@ -103,7 +105,7 @@ def test_perron_pair_first_on_bipartite_ties(n, cycle):
     assert spec.values[1] == pytest.approx(-spec.values[0])
 
 
-def test_argument_and_convergence_errors(rng):
+def test_argument_and_convergence_errors(rng, monkeypatch):
     M = rng.standard_normal((40, 40))
     M = (M + M.T) / 2
     with pytest.raises(ValueError):
@@ -111,8 +113,9 @@ def test_argument_and_convergence_errors(rng):
     with pytest.raises(ValueError):
         leading_eigs(M, K=0)
     # unreachable tolerance: the solver must give up and report residuals
+    monkeypatch.setattr(eigen, "DENSE_CUTOFF", 0)
     with pytest.raises(NonConvergenceError) as err:
-        leading_eigs(M, K=2, tol=0.0, max_iter=2, method="arpack")
+        leading_eigs(M, K=2, tol=0.0, max_iter=2)
     assert err.value.residuals is not None
 
 
@@ -125,7 +128,7 @@ def test_arpack_restart_budget_is_reported():
     assert err.value.residuals.shape == (2,)
 
 
-def test_lanczos_handles_disconnected_blocks():
+def test_lanczos_handles_disconnected_blocks(monkeypatch):
     # block-diagonal graph: the leading pairs live in different blocks
     blocks = []
     rng = np.random.default_rng(5)
@@ -140,6 +143,7 @@ def test_lanczos_handles_disconnected_blocks():
         s = B.shape[0]
         M[at:at + s, at:at + s] = B
         at += s
-    spec = leading_eigs(M, K=3, method="arpack", seed=11)
+    monkeypatch.setattr(eigen, "DENSE_CUTOFF", 0)
+    spec = leading_eigs(M, K=3, seed=11)
     vals, _ = dense_oracle(M, 3)
     assert np.allclose(spec.values, vals, rtol=1e-9)

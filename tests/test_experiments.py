@@ -3,8 +3,8 @@ import json
 import numpy as np
 import pytest
 
-from scorecd import (PRESETS, ExperimentConfig, ThetaPattern, config_from_text,
-                     config_to_text, run_experiment)
+from scorecd import (PRESETS, ExperimentConfig, RunReport, ThetaPattern,
+                     config_from_text, config_to_text, run_experiment)
 from scorecd.errors import ParseError
 
 
@@ -95,6 +95,25 @@ def test_json_reports_restart_agreement_outside_the_payload():
     assert agreement == {m: list(v) for m, v in
                          report.restarts_at_best.items()}
     assert "restarts_at_best" not in report.payload()
+
+
+def test_run_experiment_rejects_fewer_than_one_rep():
+    with pytest.raises(ValueError, match="reps must be >= 1, got 0"):
+        run_experiment(tiny_config(), reps=0)
+    with pytest.raises(ValueError, match="reps must be >= 1, got -1"):
+        run_experiment(tiny_config(rep=-1))
+
+
+@pytest.mark.parametrize("pid", sorted(PRESETS))
+def test_payload_config_is_plain_json(pid):
+    cfg = PRESETS[pid]
+    report = RunReport(config=cfg, seed=cfg.seed, n0=(), mismatches={},
+                       rates={}, means={}, sds={}, wall_clock={},
+                       clustering={}, stage_clock={}, restarts_at_best={})
+    config = report.payload()["config"]
+    assert config == json.loads(json.dumps(config))
+    assert config["A"] == [list(row) for row in cfg.A]
+    assert config["theta"] == {"kind": cfg.theta.kind, **cfg.theta.params}
 
 
 def test_run_experiment_deterministic():

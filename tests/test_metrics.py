@@ -57,14 +57,31 @@ def test_permutation_invariance(K, seed):
     assert base <= 20
 
 
-def test_assignment_path_equals_exhaustive(rng):
-    for K in (2, 3, 5, 8):
-        for _ in range(10):
-            est = rng.integers(1, K + 1, size=40)
-            tru = rng.integers(1, K + 1, size=40)
-            a = hamming_error(est, tru, K, force="exhaustive")
-            b = hamming_error(est, tru, K, force="assignment")
-            assert a.mismatches == b.mismatches
+def exhaustive_best_perm(conf, K):
+    """Reference: the first maximum-trace permutation in lexicographic order."""
+    best_perm, best_score = None, -1
+    for perm in itertools.permutations(range(1, K + 1)):
+        score = sum(conf[perm[b] - 1, b] for b in range(K))
+        if score > best_score:
+            best_perm, best_score = perm, score
+    return best_perm, best_score
+
+
+def test_assignment_path_equals_exhaustive_tie_rule():
+    # confusion entries 0..2 make tied optimal matchings common
+    rng = np.random.default_rng(0)
+    for K, trials in ((2, 300), (3, 300), (4, 300), (5, 100), (6, 30), (7, 10)):
+        for _ in range(trials):
+            conf = rng.integers(0, 3, size=(K, K))
+            if not conf.any():
+                continue
+            est, tru = np.nonzero(conf)
+            counts = conf[est, tru]
+            est, tru = np.repeat(est + 1, counts), np.repeat(tru + 1, counts)
+            res = hamming_error(est, tru, K)
+            perm, matched = exhaustive_best_perm(conf, K)
+            assert res.best_perm == perm
+            assert res.mismatches == est.size - matched
 
 
 def test_large_k_uses_assignment(rng):
