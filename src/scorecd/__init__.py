@@ -4,39 +4,27 @@ The pipeline: load a graph, take its K leading (largest-magnitude)
 eigenvectors, divide the trailing ones entrywise by the first to cancel
 degree effects, and k-means the resulting rows.  Classical spectral baselines
 (raw and degree-normalized eigenvector rows, q-norm row scaling) and a
-degree-corrected block model simulation harness round out the toolkit.
+degree-corrected block model simulation harness round out the toolkit; they
+live in the submodules (`scorecd.pipeline`, `scorecd.dcbm`,
+`scorecd.experiments`).  The package exports the README's entry points, the
+types they return and the exception classes.
 """
 
-from .cluster import KMeansResult, Labeling, kmeans, threshold_classify
-from .dcbm import (DCBMParams, Diagnostics, PopulationSpectrum, ThetaPattern,
-                   block_labels, build_omega, diagnostics, permuted_theta,
-                   population_ratio_matrix, population_spectrum, r0_vector,
-                   sample_adjacency)
-from .eigen import EigenPair, Spectrum, leading_eigs
-from .embed import (Embedding, RatioMatrix, npca_embed, opca_embed,
-                    score_ratio, scoreq_embed)
+from .cluster import KMeansResult, Labeling, kmeans
+from .eigen import Spectrum, leading_eigs
+from .embed import RatioMatrix, score_ratio
 from .errors import (DataError, DegeneracyError, ModelValidityError,
                      NonConvergenceError, NumericalError, ParseError)
-from .experiments import (PRESETS, ExperimentConfig, RunReport,
-                          config_from_text, config_to_text, run_experiment)
-from .graph import (Graph, from_edges, giant_component, load_edge_list,
-                    load_labels, remove_isolated)
-from .metrics import HammingResult, hamming_error, summarize
-from .pipeline import MethodResult, parse_method, run_method
+from .graph import Graph, giant_component, load_edge_list
+from .metrics import HammingResult, hamming_error
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "DCBMParams", "DataError", "DegeneracyError", "Diagnostics", "EigenPair",
-    "Embedding", "ExperimentConfig", "Graph", "HammingResult", "KMeansResult",
-    "Labeling", "MethodResult", "ModelValidityError", "NonConvergenceError",
-    "NumericalError", "PRESETS", "ParseError", "PopulationSpectrum",
-    "RatioMatrix", "RunReport", "Spectrum", "ThetaPattern", "block_labels",
-    "build_omega", "config_from_text", "config_to_text", "diagnostics",
-    "from_edges", "giant_component", "hamming_error", "kmeans",
-    "leading_eigs", "load_edge_list", "load_labels", "npca_embed",
-    "opca_embed", "parse_method", "permuted_theta", "population_ratio_matrix",
-    "population_spectrum", "r0_vector", "remove_isolated", "run_experiment",
-    "run_method", "sample_adjacency", "score_ratio", "scoreq_embed",
-    "summarize", "threshold_classify",
+    "load_edge_list", "giant_component", "leading_eigs", "score_ratio",
+    "kmeans", "hamming_error",
+    "Graph", "Spectrum", "RatioMatrix", "KMeansResult", "Labeling",
+    "HammingResult",
+    "DataError", "DegeneracyError", "ModelValidityError",
+    "NonConvergenceError", "NumericalError", "ParseError",
 ]

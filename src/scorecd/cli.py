@@ -1,10 +1,12 @@
 """Command-line interface: detect, experiment, spectra, eval.
 
 Exit codes: 0 success, 2 argument error, 3 data error, 4 numerical failure.
-Input files are looked up as given, then under $SCORE_DATA_DIR.  The karate
-club network ships embedded; use --input builtin:karate.
+Input files are looked up as given, then under $SCORE_DATA_DIR; one that
+cannot be read as text is a data error.  The karate club network ships
+embedded; use --input builtin:karate.
 """
 
+import contextlib
 import functools
 import io
 import json
@@ -56,27 +58,38 @@ def _resolve_path(path):
                     "(also searched $SCORE_DATA_DIR)")
 
 
+@contextlib.contextmanager
+def _open_input(path):
+    """The input file at `path`, open as text; a read failure is a data error."""
+    path = _resolve_path(path)
+    try:
+        with open(path) as fh:
+            yield fh
+    except (OSError, UnicodeDecodeError) as exc:
+        # an OSError's strerror is its message without the path
+        reason = getattr(exc, "strerror", None) or exc
+        raise DataError(f"cannot read {path!r} as text: {reason}") from exc
+
+
 def _load_graph(input_spec):
-    """Load builtin:<name> or an edge-list file; returns (Graph, labels lines)."""
+    """Graph of builtin:<name> or an edge-list path, and a builtin's labels."""
     if input_spec.startswith("builtin:"):
         name = input_spec.split(":", 1)[1]
-        if name not in datasets.BUILTIN_GRAPHS:
+        if name not in datasets.BUILTIN:
             raise DataError(f"unknown builtin dataset {name!r}; "
-                            f"available: {sorted(datasets.BUILTIN_GRAPHS)}")
-        g = graph.load_edge_list(datasets.BUILTIN_GRAPHS[name]())
-        label_lines = datasets.BUILTIN_LABELS.get(name)
-        return g, (label_lines() if label_lines else None)
-    path = _resolve_path(input_spec)
-    with open(path) as fh:
+                            f"available: {sorted(datasets.BUILTIN)}")
+        edges, labels = datasets.BUILTIN[name]
+        return graph.load_edge_list(io.StringIO(edges)), io.StringIO(labels)
+    with _open_input(input_spec) as fh:
         return graph.load_edge_list(fh), None
 
 
-def _truth_for(g, labels_path, builtin_lines, K):
+def _truth_for(g, labels_path, builtin_labels, K):
     if labels_path:
-        with open(_resolve_path(labels_path)) as fh:
+        with _open_input(labels_path) as fh:
             truth, codes = graph.load_labels(fh, g.original_ids)
-    elif builtin_lines is not None:
-        truth, codes = graph.load_labels(builtin_lines, g.original_ids)
+    elif builtin_labels is not None:
+        truth, codes = graph.load_labels(builtin_labels, g.original_ids)
     else:
         return None
     if len(codes) > K:
@@ -213,7 +226,7 @@ def _load_config(preset, config_path):
             raise ValueError(f"unknown preset {preset!r}; available: "
                              f"{sorted(experiments.PRESETS)}")
         return experiments.PRESETS[preset]
-    with open(_resolve_path(config_path)) as fh:
+    with _open_input(config_path) as fh:
         return experiments.config_from_text(fh.read())
 
 
@@ -351,11 +364,11 @@ def eval_cmd(estimated, truth, k, as_json, out):
     Scored over the nodes of the estimated file (the giant component, for
     `detect --csv` output); the truth file must label each of them.
     """
-    with open(_resolve_path(estimated)) as fh:
+    with _open_input(estimated) as fh:
         est = graph.read_labels(fh)
     order = list(est)
     est_codes, _ = graph.code_labels(est, order)
-    with open(_resolve_path(truth)) as fh:
+    with _open_input(truth) as fh:
         tru_codes, _ = graph.load_labels(fh, order)
     K = k or max(est_codes.max(), tru_codes.max())
     ham = metrics.hamming_error(est_codes, tru_codes, int(K))

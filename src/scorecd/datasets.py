@@ -1,12 +1,13 @@
 """Built-in benchmark datasets.
 
 The karate club network (34 members, 78 friendship ties, two factions after
-the club split) is embedded directly so `detect --input builtin:karate` works
-without any files on disk.  Larger benchmarks such as the political web blogs
-network must be supplied by the user as edge-list files.
+the club split) is embedded as edge-list and label-file text, so `detect
+--input builtin:karate` works without any files on disk and parses as a file
+would.  Larger benchmarks such as the political web blogs network must be
+supplied by the user as edge-list files.
 """
 
-KARATE_EDGES = [
+_KARATE_PAIRS = [
     (1, 2), (1, 3), (1, 4), (1, 5), (1, 6), (1, 7), (1, 8), (1, 9), (1, 11),
     (1, 12), (1, 13), (1, 14), (1, 18), (1, 20), (1, 22), (1, 32), (2, 3), (2, 4),
     (2, 8), (2, 14), (2, 18), (2, 20), (2, 22), (2, 31), (3, 4), (3, 8), (3, 9),
@@ -21,20 +22,9 @@ KARATE_EDGES = [
 # Faction membership after the split: Mr. Hi's group vs. the officers' group.
 _MRHI_MEMBERS = {1, 2, 3, 4, 5, 6, 7, 8, 9, 11, 12, 13, 14, 17, 18, 20, 22}
 
-KARATE_LABELS = {
-    str(i): ("mrhi" if i in _MRHI_MEMBERS else "officer") for i in range(1, 35)
-}
+KARATE_EDGES = "".join(f"{u} {v}\n" for u, v in _KARATE_PAIRS)
+KARATE_LABELS = "".join(f"{i} {'mrhi' if i in _MRHI_MEMBERS else 'officer'}\n"
+                        for i in range(1, 35))
 
-
-def karate_edge_lines():
-    """The karate network as edge-list text lines (node tokens '1'..'34')."""
-    return [f"{u} {v}" for u, v in KARATE_EDGES]
-
-
-def karate_label_lines():
-    """Ground-truth faction labels as 'node label' text lines."""
-    return [f"{tok} {lab}" for tok, lab in KARATE_LABELS.items()]
-
-
-BUILTIN_GRAPHS = {"karate": karate_edge_lines}
-BUILTIN_LABELS = {"karate": karate_label_lines}
+# name -> (edge-list text, label-file text)
+BUILTIN = {"karate": (KARATE_EDGES, KARATE_LABELS)}

@@ -20,7 +20,6 @@ from .errors import DegeneracyError, ModelValidityError
 from .graph import from_edges
 from .seeding import as_rng
 
-DENSE_OMEGA_LIMIT = 4096
 DAD_GAP_TOL = 1e-12
 
 
@@ -106,19 +105,6 @@ def _check_labels(p, labels):
     counts = np.bincount(labels.labels, minlength=p.K + 1)[1:]
     if labels.K != p.K or tuple(counts) != p.sizes:
         raise ValueError("labels do not match the declared community sizes")
-
-
-def build_omega(p, labels):
-    """Dense expectation matrix O(i,j) = theta(i) theta(j) A(k(i), k(j))."""
-    _check_labels(p, labels)
-    if p.n > DENSE_OMEGA_LIMIT:
-        raise ValueError(f"dense expectation matrix limited to n <= "
-                         f"{DENSE_OMEGA_LIMIT}, got {p.n}")
-    lab0 = labels.labels - 1
-    omega = np.outer(p.theta, p.theta) * p.A[np.ix_(lab0, lab0)]
-    if omega.max() >= 1.0:
-        raise ModelValidityError("edge probabilities reach 1; shrink theta or A")
-    return omega
 
 
 def sample_adjacency(p, labels, seed):
@@ -235,23 +221,6 @@ def population_spectrum(p, labels):
     return PopulationSpectrum(D=D, dad=dad,
                               lambdas=np.linalg.norm(p.theta) ** 2 * mu,
                               a_vectors=avec * signs, eta_vectors=eta * signs)
-
-
-def r0_vector(a, b, c, d1, d2):
-    """Per-community values of the two-community eigenvector ratio.
-
-    Community 1 maps to 1; community 2 to the negative squared ratio
-    -((a d1^2 - c d2^2 + sqrt((a d1^2 - c d2^2)^2 + 4 b^2 d1^2 d2^2))
-    / (2 b d1 d2))^2.  Requires b > 0 and a c != b^2 (otherwise the second
-    eigenvalue vanishes and the ratio is undefined).
-    """
-    if b <= 0:
-        raise ValueError(f"b must be positive, got {b:g}")
-    if a * c == b * b:
-        raise ValueError("a*c == b^2 makes the second eigenvalue zero")
-    x = a * d1 ** 2 - c * d2 ** 2
-    disc = math.sqrt(x ** 2 + 4.0 * b ** 2 * d1 ** 2 * d2 ** 2)
-    return np.array([1.0, -((x + disc) / (2.0 * b * d1 * d2)) ** 2])
 
 
 def population_ratio_matrix(ps):

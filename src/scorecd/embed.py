@@ -33,15 +33,6 @@ class RatioMatrix:
         return self.R[:, 0]
 
 
-@dataclass(frozen=True, eq=False)
-class Embedding:
-    """n x d point set plus the method tag that produced it."""
-
-    points: np.ndarray
-    method: str
-    zero_rows: int = 0
-
-
 def score_ratio(spectrum, T_n=None):
     """Entrywise ratios of trailing leading eigenvectors over the first.
 
@@ -88,11 +79,10 @@ def score_ratio(spectrum, T_n=None):
 
 
 def scoreq_embed(spectrum, q):
-    """Rows of the eigenvector matrix rescaled to unit l^q norm.
+    """n x K array: the eigenvector matrix's rows rescaled to unit l^q norm.
 
     Scaling-invariant by construction: multiplying a row by any a > 0 leaves
-    the output row unchanged.  All-zero rows map to zero and are counted in
-    `zero_rows`.
+    the output row unchanged.  All-zero rows map to zero.
     """
     if q <= 0:
         raise ValueError(f"q must be positive, got {q}")
@@ -100,22 +90,19 @@ def scoreq_embed(spectrum, q):
         raise ValueError(f"need at least 2 eigenpairs, got {len(spectrum)}")
     xi = spectrum.vectors
     norms = np.sum(np.abs(xi) ** q, axis=1) ** (1.0 / q)
-    zero = norms == 0.0
-    points = np.divide(xi, norms[:, None], out=np.zeros_like(xi),
-                       where=~zero[:, None])
-    return Embedding(points=points, method=f"scoreq({q:g})",
-                     zero_rows=int(zero.sum()))
+    return np.divide(xi, norms[:, None], out=np.zeros_like(xi),
+                     where=norms[:, None] != 0.0)
 
 
 def opca_embed(spectrum):
-    """Raw leading-eigenvector rows (ordinary PCA baseline)."""
+    """n x K array of raw leading-eigenvector rows (ordinary PCA baseline)."""
     if len(spectrum) < 2:
         raise ValueError(f"need at least 2 eigenpairs, got {len(spectrum)}")
-    return Embedding(points=spectrum.vectors.copy(), method="opca")
+    return spectrum.vectors
 
 
 def npca_embed(g, K, seed=0):
-    """Leading-eigenvector rows of D^{-1/2} X D^{-1/2} (normalized PCA).
+    """n x K leading-eigenvector rows of D^{-1/2} X D^{-1/2} (normalized PCA).
 
     D is the degree diagonal of `g`; every node must have degree >= 1, so
     preprocess with remove_isolated / giant_component first.
@@ -128,4 +115,4 @@ def npca_embed(g, K, seed=0):
     normalized = g.adjacency.astype(float).multiply(inv_sqrt[:, None]) \
                                           .multiply(inv_sqrt[None, :]).tocsr()
     spectrum = eigen.leading_eigs(normalized, K, seed=seed)
-    return Embedding(points=spectrum.vectors, method="npca")
+    return spectrum.vectors

@@ -2,11 +2,12 @@
 
 Graphs are immutable after construction.  Node tokens from edge-list files are
 remapped to dense indices 0..n-1 in first-appearance order; the mapping is kept
-in ``original_ids`` so results can be reported against the source labels.
+in ``original_ids`` so results can be reported against the source labels.  The
+edge-list and label readers take an open text file and read it whole.
 """
 
 import io
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from operator import itemgetter
 
 import numpy as np
@@ -22,11 +23,7 @@ class Graph:
 
     n: int
     adjacency: sp.csr_matrix
-    original_ids: tuple = field(default=None)
-
-    def __post_init__(self):
-        if self.original_ids is None:
-            object.__setattr__(self, "original_ids", tuple(range(self.n)))
+    original_ids: tuple
 
     @property
     def num_edges(self):
@@ -62,11 +59,11 @@ def from_edges(edges, n, original_ids=None):
 
 
 def load_edge_list(source):
-    """Parse whitespace-separated edge-list text into an undirected Graph.
+    """Parse an edge list from an open text file into an undirected Graph.
 
-    `source` is an open text file, read whole, or an iterable of lines.  A
-    file's lines end at line feeds (open() in its default newline mode turns
-    CR and CRLF endings into line feeds).  Lines starting with '#' or '%' and
+    `source` is anything with `.read()`; its text is read whole and its lines
+    end at line feeds (open() in its default newline mode turns CR and CRLF
+    endings into line feeds).  Lines starting with '#' or '%' and
     blank lines are skipped.  Every other line must hold exactly two node
     tokens.  Tokens are arbitrary strings, remapped to dense indices in
     first-appearance order.  Duplicate and reversed edges always merge and
@@ -74,14 +71,14 @@ def load_edge_list(source):
     is parsed vectorized (`_integer_edges`); any other text goes through the
     line loop, which gives the same Graph and reports every malformed line.
     """
-    text, lines = _read_text(source)
-    edges = None if text is None else _integer_edges(text)
+    text = source.read()
+    edges = _integer_edges(text)
     if edges is not None:
         pairs, ids = edges
         return from_edges(pairs, n=len(ids), original_ids=ids)
     index = {}
     ends = []
-    for line_no, raw in enumerate(lines, start=1):
+    for line_no, raw in enumerate(io.StringIO(text), start=1):
         line = raw.strip()
         if not line or line[0] in "#%":
             continue
@@ -95,26 +92,6 @@ def load_edge_list(source):
         raise DataError("empty edge list: no edges found in input")
     return from_edges(np.reshape(ends, (-1, 2)), n=len(index),
                       original_ids=tuple(index))
-
-
-def _read_text(source):
-    """(text, lines) of a file or an iterable of lines.
-
-    The line loops read `lines`; the vectorized paths read `text`, which is
-    None where its line breaks would not match those lines: a list item
-    holding a line break is one line to a loop but two in the joined text.
-    """
-    if hasattr(source, "read"):
-        text = source.read()
-        return text, _file_lines(text)
-    lines = [line.removesuffix("\n") for line in source]
-    text = "\n".join(lines)
-    return (text if text.count("\n") < len(lines) else None), lines
-
-
-def _file_lines(text):
-    """The lines of a file's text, copied only once a loop reads them."""
-    yield from io.StringIO(text)
 
 
 def _pair_tokens(buf, token):
@@ -239,10 +216,10 @@ def remove_isolated(g):
 
 
 def read_labels(source):
-    """Parse a label file into a {node_token: label_token} dict in file order.
+    """Parse an open label file into a {node_token: label_token} dict.
 
-    `source` is an open text file, read whole, or an iterable of lines; a
-    file's lines end at line feeds, as in load_edge_list.  One "node label"
+    `source` is anything with `.read()`, read whole; lines end at line feeds,
+    as in load_edge_list, and the table keeps file order.  One "node label"
     pair per line, separated by whitespace or a comma, so the `node,label`
     CSV that `detect --csv` writes reads back; that header line, blank lines
     and lines starting with '#' or '%' are skipped.  A node listed twice with
@@ -251,12 +228,12 @@ def read_labels(source):
     through the line loop, which gives the same table and reports every
     malformed line.
     """
-    text, lines = _read_text(source)
-    table = None if text is None else _label_table(text)
+    text = source.read()
+    table = _label_table(text)
     if table is not None:
         return table
     table = {}
-    for line_no, raw in enumerate(lines, start=1):
+    for line_no, raw in enumerate(io.StringIO(text), start=1):
         line = raw.strip()
         if not line or line[0] in "#%":
             continue
@@ -322,7 +299,7 @@ def code_labels(table, id_order):
 
 
 def load_labels(source, id_order):
-    """Read ground-truth labels aligned with `id_order`.
+    """Read ground-truth labels from an open text file, aligned with `id_order`.
 
     The file format is read_labels'; the coding is code_labels': an integer
     vector of labels 1..K by first appearance along `id_order`, plus the

@@ -29,9 +29,8 @@ class HammingResult:
 
 
 def _confusion(estimated, truth, K):
-    conf = np.zeros((K, K), dtype=np.int64)
-    np.add.at(conf, (estimated - 1, truth - 1), 1)
-    return conf
+    return np.bincount((estimated - 1) * K + (truth - 1),
+                       minlength=K * K).reshape(K, K)
 
 
 def _best_perm(conf):

@@ -5,7 +5,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import cluster, eigen, embed
+from . import cluster, embed
 from .seeding import derived_seed
 
 
@@ -82,12 +82,12 @@ def run_method(graph, spectrum, method, K, T_n=None, seed=0, restarts=None,
                 threshold=t)
         points = ratio.R
     elif kind == "scoreq":
-        points = embed.scoreq_embed(spectrum, q).points
+        points = embed.scoreq_embed(spectrum, q)
     elif kind == "opca":
-        points = embed.opca_embed(spectrum).points
+        points = embed.opca_embed(spectrum)
     else:  # npca
         points = embed.npca_embed(graph, K,
-                                  seed=derived_seed(seed, "npca-eigs")).points
+                                  seed=derived_seed(seed, "npca-eigs"))
 
     km = cluster.kmeans(points, K, restarts=restarts, seed=seed, init=init)
     implied = None

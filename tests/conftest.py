@@ -1,16 +1,53 @@
-"""Shared test helpers: random model instances and dataset discovery."""
+"""Shared test helpers: random models, dense oracles and dataset discovery.
+
+`build_omega` (the dense expectation matrix) and `r0_vector` (the closed-form
+two-community ratio) are oracles that only the tests use.
+"""
 
 import importlib.util
+import math
 import os
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from scorecd import DCBMParams, block_labels
-from scorecd.errors import DegeneracyError
+from scorecd.dcbm import (DCBMParams, _check_labels, block_labels,
+                          dad_eigengap, population_spectrum)
+from scorecd.errors import DegeneracyError, ModelValidityError
 
 GEN_DETECT = Path(__file__).resolve().parents[1] / "scorebench/gen_detect.py"
+DENSE_OMEGA_LIMIT = 4096
+
+
+def build_omega(p, labels):
+    """Dense expectation matrix O(i,j) = theta(i) theta(j) A(k(i), k(j))."""
+    _check_labels(p, labels)
+    if p.n > DENSE_OMEGA_LIMIT:
+        raise ValueError(f"dense expectation matrix limited to n <= "
+                         f"{DENSE_OMEGA_LIMIT}, got {p.n}")
+    lab0 = labels.labels - 1
+    omega = np.outer(p.theta, p.theta) * p.A[np.ix_(lab0, lab0)]
+    if omega.max() >= 1.0:
+        raise ModelValidityError("edge probabilities reach 1; shrink theta or A")
+    return omega
+
+
+def r0_vector(a, b, c, d1, d2):
+    """Per-community values of the two-community eigenvector ratio.
+
+    Community 1 maps to 1; community 2 to the negative squared ratio
+    -((a d1^2 - c d2^2 + sqrt((a d1^2 - c d2^2)^2 + 4 b^2 d1^2 d2^2))
+    / (2 b d1 d2))^2.  Requires b > 0 and a c != b^2 (otherwise the second
+    eigenvalue vanishes and the ratio is undefined).
+    """
+    if b <= 0:
+        raise ValueError(f"b must be positive, got {b:g}")
+    if a * c == b * b:
+        raise ValueError("a*c == b^2 makes the second eigenvalue zero")
+    x = a * d1 ** 2 - c * d2 ** 2
+    disc = math.sqrt(x ** 2 + 4.0 * b ** 2 * d1 ** 2 * d2 ** 2)
+    return np.array([1.0, -((x + disc) / (2.0 * b * d1 * d2)) ** 2])
 
 
 def random_dcbm(rng, n_max=256, k_choices=(1, 2, 3, 4), eigengap_min=None):
@@ -21,9 +58,6 @@ def random_dcbm(rng, n_max=256, k_choices=(1, 2, 3, 4), eigengap_min=None):
     has nearly degenerate eigenvalues are redrawn, since the closed-form
     spectrum is only defined for simple eigenvalues.
     """
-    from scorecd import population_spectrum
-    from scorecd.dcbm import dad_eigengap
-
     for _ in range(100):
         K = int(rng.choice(k_choices))
         sizes = rng.integers(3, max(4, n_max // K), size=K)

@@ -14,17 +14,18 @@ import time
 import numpy as np
 import pytest
 
-from scorecd import (PRESETS, block_labels, build_omega, diagnostics,
-                     hamming_error, kmeans, leading_eigs, population_spectrum,
-                     population_ratio_matrix, run_experiment, run_method,
-                     sample_adjacency, score_ratio)
+from scorecd import hamming_error, kmeans, leading_eigs, score_ratio
+from scorecd.dcbm import (block_labels, diagnostics, population_ratio_matrix,
+                          population_spectrum, sample_adjacency)
+from scorecd.experiments import PRESETS, run_experiment
+from scorecd.pipeline import run_method
 from scorecd import dcbm as dcbm_mod
 from scorecd import eigen as eigen_mod
 from scorecd.graph import giant_component, load_edge_list, load_labels
 from scorecd.cli import _load_graph
 from scorecd.seeding import derived_seed
 
-from conftest import find_polblogs, random_dcbm
+from conftest import build_omega, find_polblogs, random_dcbm
 
 
 def announce(capsys, name, ok, detail):
@@ -43,9 +44,9 @@ def within(value, center, tol):
 
 def test_criterion_1_karate_exactness(capsys):
     t0 = time.perf_counter()
-    g_raw, label_lines = _load_graph("builtin:karate")
+    g_raw, label_file = _load_graph("builtin:karate")
     g, _ = giant_component(g_raw)
-    truth, _ = load_labels(label_lines, g.original_ids)
+    truth, _ = load_labels(label_file, g.original_ids)
     spectrum = leading_eigs(g, 2, seed=derived_seed(0, "eigs"))
     km = run_method(g, spectrum, "score", 2, seed=0)
     km_err = hamming_error(km.labeling.labels, truth, 2).mismatches

@@ -112,6 +112,35 @@ def test_missing_file_is_data_error(tmp_path):
     assert result.exit_code == 3
 
 
+UNREADABLE_INPUT = {
+    "detect --input": lambda bad, ok: ["detect", "--input", bad, "--k", "2"],
+    "detect --labels": lambda bad, ok: ["detect", "--input", "builtin:karate",
+                                        "--k", "2", "--labels", bad],
+    "experiment --config": lambda bad, ok: ["experiment", "--config", bad],
+    "eval --estimated": lambda bad, ok: ["eval", "--estimated", bad,
+                                         "--truth", ok],
+    "eval --truth": lambda bad, ok: ["eval", "--estimated", ok,
+                                     "--truth", bad],
+}
+
+
+@pytest.mark.parametrize("kind", ["directory", "not UTF-8"])
+@pytest.mark.parametrize("where", sorted(UNREADABLE_INPUT))
+def test_unreadable_input_is_data_error(tmp_path, where, kind):
+    ok = tmp_path / "labels.txt"
+    ok.write_text("a 1\nb 2\n")
+    bad = tmp_path / "bad"
+    if kind == "directory":
+        bad.mkdir()
+    else:
+        bad.write_bytes(b"1 2\n\xff 3\n")
+    result = CliRunner().invoke(main, UNREADABLE_INPUT[where](str(bad),
+                                                              str(ok)))
+    assert result.exit_code == 3
+    assert result.output.startswith(
+        f"data error: cannot read {str(bad)!r} as text: ")
+
+
 def test_experiment_deterministic_json():
     cfg = ("id = smoke\nn = 40\nK = 2\nrep = 2\nA = 1 0.8 ; 0.8 1\n"
            "theta = constant c=0.5\nmethods = score\nseed = 3\n")

@@ -3,9 +3,9 @@ import itertools
 import numpy as np
 import pytest
 
-from scorecd import cluster, kmeans, threshold_classify
+from scorecd import cluster, kmeans
 from scorecd.cluster import (MAX_LLOYD_ITERS, REL_IMPROVEMENT, _row_sums,
-                             _weighted_draw)
+                             _weighted_draw, threshold_classify)
 
 
 def exhaustive_kmeans_cost(points, K):

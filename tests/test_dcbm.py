@@ -4,13 +4,13 @@ import math
 import numpy as np
 import pytest
 
-from scorecd import (DCBMParams, ThetaPattern, block_labels, build_omega,
-                     diagnostics, leading_eigs, permuted_theta,
-                     population_ratio_matrix, population_spectrum, r0_vector,
-                     sample_adjacency)
+from scorecd import leading_eigs
+from scorecd.dcbm import (DCBMParams, ThetaPattern, block_labels, diagnostics,
+                          permuted_theta, population_ratio_matrix,
+                          population_spectrum, sample_adjacency)
 from scorecd.errors import DegeneracyError, ModelValidityError
 
-from conftest import random_dcbm
+from conftest import build_omega, r0_vector, random_dcbm
 
 
 def exp1_params(n=1000):

@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
 
-from scorecd import (DCBMParams, block_labels, build_omega, leading_eigs,
-                     sample_adjacency)
-from scorecd import eigen
+from scorecd import eigen, leading_eigs
+from scorecd.dcbm import DCBMParams, block_labels, sample_adjacency
 from scorecd.errors import NonConvergenceError
 from scorecd.graph import from_edges, giant_component
+
+from conftest import build_omega
 
 
 def dense_oracle(M, K):

@@ -3,8 +3,10 @@ import json
 import numpy as np
 import pytest
 
-from scorecd import (PRESETS, ExperimentConfig, RunReport, ThetaPattern,
-                     config_from_text, config_to_text, run_experiment)
+from scorecd.dcbm import ThetaPattern
+from scorecd.experiments import (PRESETS, ExperimentConfig, RunReport,
+                                 config_from_text, config_to_text,
+                                 run_experiment)
 from scorecd.errors import ParseError
 
 

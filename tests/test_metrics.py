@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from scorecd import Labeling, hamming_error, summarize
+from scorecd import Labeling, hamming_error
+from scorecd.metrics import summarize
 
 
 def oracle_hamming(est, tru, K):
@@ -89,6 +90,18 @@ def test_large_k_uses_assignment(rng):
     tru = est.copy()
     res = hamming_error(est, tru, K=9)
     assert res.mismatches == 0
+
+
+def test_confusion_equals_a_pair_count(rng):
+    for K in range(1, 10):
+        est = rng.integers(1, K + 1, size=200)
+        tru = rng.integers(1, K + 1, size=200)
+        count = np.zeros((K, K), dtype=np.int64)
+        for a, b in zip(est.tolist(), tru.tolist()):
+            count[a - 1, b - 1] += 1
+        conf = hamming_error(est, tru, K).confusion
+        assert conf.dtype == np.int64
+        assert np.array_equal(conf, count)
 
 
 def test_argument_errors():

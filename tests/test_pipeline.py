@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from scorecd import (DCBMParams, block_labels, hamming_error, leading_eigs,
-                     parse_method, run_method, sample_adjacency)
+from scorecd import hamming_error, leading_eigs
+from scorecd.dcbm import DCBMParams, block_labels, sample_adjacency
+from scorecd.pipeline import parse_method, run_method
 from scorecd.graph import giant_component
 
 
