@@ -131,8 +131,12 @@ def _json_with_labels(payload, labels):
 
 def _emit(text, out):
     if out:
-        with open(out, "w") as fh:
-            fh.write(text if text.endswith("\n") else text + "\n")
+        try:
+            with open(out, "w") as fh:
+                fh.write(text if text.endswith("\n") else text + "\n")
+        except OSError as exc:
+            raise DataError(f"cannot write {out!r}: "
+                            f"{exc.strerror or exc}") from exc
     else:
         # not click.echo: click keeps every stdout object it has written to,
         # so each in-process run that swaps sys.stdout (CliRunner,
@@ -161,8 +165,9 @@ def main():
 @click.option("--tn", type=float, default=None,
               help="Ratio truncation level; default log(n).")
 @click.option("--restarts", type=int, default=None,
-              help="Lloyd restarts for k-means (default 100); unused by "
-                   "the exact split of K=2 ratios.")
+              help="Cap on Lloyd restarts (default 100); k-means stops "
+                   "earlier once 3 runs reach the best cost, after at least "
+                   "10; unused by the exact split of K=2 ratios.")
 @click.option("--seed", type=int, default=0, show_default=True)
 @click.option("--json", "as_json", is_flag=True, help="Machine-readable output.")
 @click.option("--csv", "as_csv", is_flag=True, help="Per-node label rows.")
@@ -205,6 +210,7 @@ def detect(input_spec, labels, k, method, threshold, tn, restarts, seed,
     }
     if result.kmeans is not None:
         payload["kmeans_cost"] = result.kmeans.cost
+        payload["kmeans_restarts_used"] = result.kmeans.restarts_used
         payload["kmeans_restarts_at_best"] = result.kmeans.restarts_at_best
     if result.ratio is not None:
         payload["truncated_entries"] = result.ratio.truncated_count
@@ -239,8 +245,9 @@ def _load_config(preset, config_path):
 @click.option("--tn", type=float, default=math.inf, show_default="inf",
               help="Ratio truncation during simulation.")
 @click.option("--restarts", type=int, default=None,
-              help="Lloyd restarts for k-means (default 100); unused by "
-                   "the exact split of K=2 ratios.")
+              help="Cap on Lloyd restarts (default 100); k-means stops "
+                   "earlier once 3 runs reach the best cost, after at least "
+                   "10; unused by the exact split of K=2 ratios.")
 @click.option("--uniform-clustering", is_flag=True,
               help="Cluster every method with the multi-restart optimizer "
                    "(by default the normalized-PCA baseline is scored with "

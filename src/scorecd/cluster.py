@@ -4,9 +4,9 @@ The k-means step minimizes ||points - M||_F^2 over matrices M with at most K
 distinct rows.  Two clusters of 1-D points (SCORE's ratio vector for K = 2)
 are split exactly: the optimum is a cut of the sorted values, found by one
 sort and a prefix-sum scan of the n - 1 cut points.  Every other shape takes
-the best of `restarts` k-means++-seeded Lloyd runs.  Every restart draws its
-own stream from (seed, restart index), so the result does not depend on
-execution order and is reproducible bit-for-bit.
+the best of up to `restarts` k-means++-seeded Lloyd runs.  Every restart
+draws its own stream from (seed, restart index), so the result is
+reproducible bit-for-bit.
 
 The Lloyd loop evaluates the textbook formulas, each in one fixed order, and
 reproduces bit for bit the row-wise numpy expressions
@@ -31,6 +31,12 @@ its cost trace, unless the stop test or the cap would part the two
 moved none of them is a fixed point: the next step would give the same
 labels and cost and then stop, so the run appends those costs and stops
 without computing them.
+
+Restarts stop once they agree: at least MIN_RESTARTS (10) run, and then the
+loop stops after the first run at which AGREEING_RUNS (3) runs have ended at
+the lowest cost so far, compared with exact float equality.  `restarts` is a
+cap, and a run of cost 0 also ends the loop.  Runs are made in index order,
+so where the loop stops is itself a function of the inputs.
 """
 
 from dataclasses import dataclass, field
@@ -40,6 +46,8 @@ import numpy as np
 REL_IMPROVEMENT = 1e-9
 MAX_LLOYD_ITERS = 300
 DEFAULT_RESTARTS = 100
+MIN_RESTARTS = 10  # restarts always run before the agreement stop applies
+AGREEING_RUNS = 3  # runs at the lowest cost so far that end the restarts
 
 
 @dataclass(frozen=True, eq=False)
@@ -302,11 +310,14 @@ def kmeans(points, K, restarts=DEFAULT_RESTARTS, seed=0, init="plusplus"):
     With K = 2 and d = 1 the split is the exact optimum (see `_two_means_1d`);
     `restarts` and `init` are validated but unused there, and the result has
     restarts_used = 1 and trace = (cost,).  Every other shape takes the best
-    of `restarts` seeded Lloyd runs.  Centers start from k-means++ seeding by
-    default; init="sample" draws K distinct rows uniformly instead (the
-    classic textbook start).  Lloyd stops when the relative cost improvement
-    drops below 1e-9 or after 300 iterations.  The winner is the lowest-cost
-    run (lowest restart index on ties).  Labels are numbered 1..K by first
+    of up to `restarts` seeded Lloyd runs: at least MIN_RESTARTS (10) run,
+    and the restarts stop after the first run at which AGREEING_RUNS (3)
+    runs have ended at the lowest cost so far, at the cap `restarts`, or at
+    a run of cost 0.  Centers start from k-means++ seeding by default;
+    init="sample" draws K distinct rows uniformly instead (the classic
+    textbook start).  Lloyd stops when the relative cost improvement drops
+    below 1e-9 or after 300 iterations.  The winner is the lowest-cost run
+    (lowest restart index on ties).  Labels are numbered 1..K by first
     member index; empty clusters are permitted.  Deterministic given
     (points, K, restarts, seed, init).
 
@@ -315,9 +326,10 @@ def kmeans(points, K, restarts=DEFAULT_RESTARTS, seed=0, init="plusplus"):
     restarts_used equal those of the row-wise formulas bit for bit; the
     buffered, column-major passes only make fewer and cheaper passes over
     the n points, and runs skip the steps whose outcome an earlier run or a
-    fixed point already gives (see the module docstring).  restarts_at_best
-    counts the runs whose final cost equals the winner's (1 for the exact
-    split): how many restarts agree on the best cost.
+    fixed point already gives (see the module docstring).  restarts_used
+    counts the runs made; restarts_at_best counts those whose final cost
+    equals the winner's (1 for the exact split): how many restarts agree on
+    the best cost.
     """
     points = np.asarray(points, dtype=float)
     if points.ndim == 1:
@@ -355,7 +367,8 @@ def kmeans(points, K, restarts=DEFAULT_RESTARTS, seed=0, init="plusplus"):
             costs.append(run[0])
             if best is None or run[0] < best[0]:
                 best = run
-            if best[0] == 0.0:
+            if best[0] == 0.0 or (r + 1 >= MIN_RESTARTS and
+                                  costs.count(best[0]) >= AGREEING_RUNS):
                 break
         cost, labels, centers, trace = best
         used, at_best = len(costs), costs.count(cost)

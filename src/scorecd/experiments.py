@@ -163,6 +163,7 @@ class RunReport:
     restarts_at_best: dict    # method -> k-means runs ending at the best
                               # cost, per repetition (restart agreement;
                               # None where no k-means ran, as at K = 1)
+    restarts_used: dict       # method -> k-means runs made, likewise
 
     def payload(self):
         """The deterministic portion, as plain JSON-ready data."""
@@ -184,9 +185,11 @@ class RunReport:
         }
 
     def to_json(self):
-        """payload() plus, under their own keys, restart agreement and the
+        """payload() plus, under their own keys, the restart counts and the
         clocks."""
         out = self.payload()
+        out["restarts_used"] = {m: list(v) for m, v in
+                                self.restarts_used.items()}
         out["restarts_at_best"] = {m: list(v) for m, v in
                                    self.restarts_at_best.items()}
         clocks = {**self.wall_clock, **self.stage_clock}
@@ -231,9 +234,11 @@ def _run_repetition(cfg, params_A, sizes, truth, master, r, T_n, restarts,
         res = pipeline.run_method(g0, spectrum, m, cfg.K, T_n=T_n,
                                   seed=derived_seed(master, r, m), **knobs)
         ham = metrics.hamming_error(res.labeling.labels, truth0, cfg.K)
+        km = res.kmeans
         out[m] = (ham.mismatches, ham.mismatches / g0.n,
                   time.perf_counter() - t0,
-                  None if res.kmeans is None else res.kmeans.restarts_at_best)
+                  None if km is None else km.restarts_at_best,
+                  None if km is None else km.restarts_used)
     return g0.n, out, stages
 
 
@@ -264,7 +269,8 @@ def run_experiment(cfg, seed=None, reps=None, T_n=math.inf,
             progress(r)
 
     n0 = tuple(row[0] for row in per_rep)
-    mismatches, rates, means, sds, wall, at_best = {}, {}, {}, {}, {}, {}
+    mismatches, rates, means, sds, wall = {}, {}, {}, {}, {}
+    at_best, used = {}, {}
     for m in cfg.methods:
         counts = tuple(row[1][m][0] for row in per_rep)
         rate = tuple(row[1][m][1] for row in per_rep)
@@ -273,9 +279,10 @@ def run_experiment(cfg, seed=None, reps=None, T_n=math.inf,
         means[m], sds[m] = mean, sd
         wall[m] = float(sum(row[1][m][2] for row in per_rep))
         at_best[m] = tuple(row[1][m][3] for row in per_rep)
+        used[m] = tuple(row[1][m][4] for row in per_rep)
     stage_clock = {key: float(sum(row[2][key] for row in per_rep))
                    for key in ("sample", "eigs")}
     return RunReport(config=cfg, seed=master, n0=n0, mismatches=mismatches,
                      rates=rates, means=means, sds=sds, wall_clock=wall,
                      clustering=policy, stage_clock=stage_clock,
-                     restarts_at_best=at_best)
+                     restarts_at_best=at_best, restarts_used=used)

@@ -141,6 +141,44 @@ def test_unreadable_input_is_data_error(tmp_path, where, kind):
         f"data error: cannot read {str(bad)!r} as text: ")
 
 
+WRITING_COMMANDS = {
+    "detect": ["detect", "--input", "builtin:karate", "--k", "2"],
+    "experiment": ["experiment", "--config", "{cfg}", "--json"],
+    "spectra": ["spectra", "population", "--preset", "1"],
+    "eval": ["eval", "--estimated", "{labels}", "--truth", "{labels}"],
+}
+
+
+@pytest.mark.parametrize("kind", ["directory", "missing parent"])
+@pytest.mark.parametrize("command", sorted(WRITING_COMMANDS))
+def test_unwritable_out_is_data_error(tmp_path, command, kind):
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text("n = 40\nK = 2\nrep = 1\nA = 1 0.8 ; 0.8 1\n"
+                   "theta = constant c=0.5\nmethods = score\n")
+    labels = tmp_path / "labels.txt"
+    labels.write_text("a 1\nb 2\n")
+    out = tmp_path / "out"
+    if kind == "directory":
+        out.mkdir()
+    else:
+        out = out / "result.txt"
+    args = [arg.format(cfg=cfg, labels=labels)
+            for arg in WRITING_COMMANDS[command]]
+    result = CliRunner().invoke(main, args + ["--out", str(out)])
+    assert result.exit_code == 3
+    assert result.output.startswith(f"data error: cannot write {str(out)!r}: ")
+
+
+@pytest.mark.parametrize("k, used, at_best", [(2, 1, 1), (3, 10, 3)])
+def test_detect_reports_restarts_used_and_agreement(k, used, at_best):
+    # K = 2 takes the exact split; at K = 3 three of the first ten Lloyd
+    # restarts reach the best cost, which ends the restarts
+    res = run("detect", "--input", "builtin:karate", "--k", str(k), "--json")
+    payload = json.loads(res.output)
+    assert payload["kmeans_restarts_used"] == used
+    assert payload["kmeans_restarts_at_best"] == at_best
+
+
 def test_experiment_deterministic_json():
     cfg = ("id = smoke\nn = 40\nK = 2\nrep = 2\nA = 1 0.8 ; 0.8 1\n"
            "theta = constant c=0.5\nmethods = score\nseed = 3\n")

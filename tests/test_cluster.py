@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from scorecd import cluster, kmeans
-from scorecd.cluster import (MAX_LLOYD_ITERS, REL_IMPROVEMENT, _row_sums,
-                             _weighted_draw, threshold_classify)
+from scorecd.cluster import (AGREEING_RUNS, MAX_LLOYD_ITERS, MIN_RESTARTS,
+                             REL_IMPROVEMENT, _row_sums, _weighted_draw,
+                             threshold_classify)
 
 
 def exhaustive_kmeans_cost(points, K):
@@ -169,8 +170,9 @@ def test_exact_1d_split_of_equal_values():
 
 
 def test_exact_1d_split_beats_best_of_restarts_lloyd():
-    # rounded t(2) draws (default_rng(542), n=38): best of 100 seeded Lloyd
-    # runs stops two nodes away from the optimal split
+    # rounded t(2) draws (default_rng(542), n=38): the best of up to 100
+    # seeded Lloyd runs, like the best of all 100, stops two nodes away from
+    # the optimal split
     x = np.array([1.37, -0.17, -0.12, -1.46, -2.0, 3.6, -2.05, -0.74, 1.42,
                   -0.61, -0.18, 2.06, -1.56, 0.61, 1.4, 0.22, 1.33, 1.64,
                   3.69, 0.2, 0.33, -0.17, 1.36, 0.16, 0.82, 0.91, -0.07,
@@ -185,13 +187,14 @@ def test_exact_1d_split_beats_best_of_restarts_lloyd():
     assert np.sum(exact.labeling.labels != lloyd.labeling.labels) == 2
 
 
-# labels, restarts_used, len(trace) and cost of 20 k-means++ Lloyd restarts
-# (K=3, seed 11), recorded before the loop was vectorized with bincount
+# labels, restarts_used, len(trace) and cost of k-means++ Lloyd with a cap
+# of 20 restarts (K=3, seed 11); labels, trace length and cost were recorded
+# before the loop was vectorized with bincount, when all 20 restarts ran
 LLOYD_GOLDEN = {
     2: ("121323313321313332223331322123113113232211333331211123213331313133"
-        "221322111313133331333311", 20, 7, 113.04563054500767),
+        "221322111313133331333311", 10, 7, 113.04563054500767),
     3: ("111122211113131312312121211111212311131111212111213332111213122111"
-        "131331112111333313213311", 20, 7, 491.4088107396823),
+        "131331112111333313213311", 10, 7, 491.4088107396823),
 }
 
 
@@ -283,6 +286,8 @@ def _ref_kmeans(points, K, restarts, seed, init):
             best = run
         if best[0] == 0.0:
             break
+        if len(costs) >= MIN_RESTARTS and costs.count(best[0]) >= AGREEING_RUNS:
+            break
     cost, labels, centers, trace = best
     uniq, first = np.unique(labels, return_index=True)
     seen = list(uniq[np.argsort(first)])
@@ -353,7 +358,8 @@ def _blobs(seed, n, d, K, scale):
 
 
 def assert_runs_match_reference(points, K, restarts, seed, init):
-    """Every restart, not only the winner, equals the row-wise loop's.
+    """Every one of `restarts` runs, not only the winner, equals the row-wise
+    loop's, including the runs past where kmeans stops.
 
     A run that takes an earlier run's outcome also takes its cost, so it
     never wins (the first run at the lowest cost does): comparing the
@@ -420,6 +426,7 @@ def test_restart_memo_and_fixed_point_exit_skip_assignments(monkeypatch):
                         counted(_ref_assign, "ref"))
     pts = _blobs(22, 300, 2, 2, 1.0)
     for restarts in (1, 100):
+        used = kmeans(pts, 2, restarts=restarts, seed=1).restarts_used
         calls.update(ours=0, ref=0)
         assert_matches_reference(pts, 2, restarts=restarts, seed=1,
                                  init="plusplus")
@@ -428,7 +435,7 @@ def test_restart_memo_and_fixed_point_exit_skip_assignments(monkeypatch):
             assert calls["ours"] == calls["ref"] - 1
         else:
             # more than one step per run goes: runs take earlier outcomes
-            assert calls["ours"] < calls["ref"] - restarts
+            assert calls["ours"] < calls["ref"] - used
 
 
 def test_restarts_at_best_counts_runs_reaching_the_winning_cost():
@@ -437,9 +444,61 @@ def test_restarts_at_best_counts_runs_reaching_the_winning_cost():
     pts = (np.repeat([[0.0, 0.0], [1000.0, 0.0], [0.0, 1000.0]], 20, axis=0)
            + rng.standard_normal((60, 2)))
     res = kmeans(pts, 3, restarts=25, seed=3)
-    assert res.restarts_used == res.restarts_at_best == 25
+    assert res.restarts_used == res.restarts_at_best == MIN_RESTARTS
     # the exact 1-D split is one run
     assert kmeans(pts[:, 0], 2, restarts=25).restarts_at_best == 1
+
+
+def _run_costs(points, K, seed, runs):
+    """Final cost of each of the first `runs` restarts of kmeans' stream."""
+    lloyd, memo = cluster._Lloyd(points, K), {}
+    return [lloyd.run(np.random.default_rng(np.random.SeedSequence([seed, r])),
+                      "plusplus", memo)[0] for r in range(runs)]
+
+
+def test_fewer_than_ten_restarts_all_run():
+    # every run agrees on the three far-apart clusters, yet none is skipped
+    rng = np.random.default_rng(4)
+    pts = (np.repeat([[0.0, 0.0], [1000.0, 0.0], [0.0, 1000.0]], 20, axis=0)
+           + rng.standard_normal((60, 2)))
+    for restarts in range(1, 10):
+        res = kmeans(pts, 3, restarts=restarts, seed=3)
+        assert res.restarts_used == res.restarts_at_best == restarts
+
+
+# four unit squares of integer points at unequal distances: K = 3 merges
+# two of them, and the merges end at distinct exact costs
+SQUARES = np.concatenate([np.array([[0, 0], [1, 0], [0, 1], [1, 1]]) + shift
+                          for shift in ([0, 0], [10, 0], [0, 9], [11, 10])]
+                         ).astype(float)
+
+
+def test_restarts_stop_once_the_best_cost_has_three_runs():
+    costs = _run_costs(SQUARES, 3, seed=19, runs=30)
+    best = min(costs)
+    # a worse cost has three runs before the best cost first appears, and
+    # the best cost's third run is the 13th restart
+    assert costs[:3] == [210.0] * 3 and costs[3] == best == 170.0
+    assert [r for r, c in enumerate(costs) if c == best][:3] == [3, 11, 12]
+    for cap in (13, 30, 100):
+        res = kmeans(SQUARES, 3, restarts=cap, seed=19)
+        assert res.restarts_used == 13 and res.restarts_at_best == 3
+        assert res.cost == best
+    assert_matches_reference(SQUARES, 3, restarts=30, seed=19,
+                             init="plusplus")
+    # below the stop, the cap ends the loop
+    assert kmeans(SQUARES, 3, restarts=12, seed=19).restarts_used == 12
+
+
+def test_restarts_run_to_the_cap_when_three_never_agree():
+    pts = np.round(np.random.default_rng(0).random((30, 2)) * 100)
+    costs = _run_costs(pts, 6, seed=0, runs=30)
+    assert max(costs.count(c) for c in costs) == 2
+    res = kmeans(pts, 6, restarts=30, seed=0)
+    assert res.restarts_used == 30
+    assert res.cost == min(costs)
+    assert res.restarts_at_best == costs.count(min(costs))
+    assert_matches_reference(pts, 6, restarts=30, seed=0, init="plusplus")
 
 
 def test_weighted_draw_matches_generator_choice():

@@ -99,6 +99,18 @@ def test_json_reports_restart_agreement_outside_the_payload():
     assert "restarts_at_best" not in report.payload()
 
 
+def test_json_reports_restarts_used_outside_the_payload():
+    report = run_experiment(tiny_config(), restarts=12)
+    used = json.loads(report.to_json())["restarts_used"]
+    assert used["score"] == [1, 1, 1]  # the exact 1-D split
+    # at least 10 Lloyd restarts, at most the cap, never fewer than agree
+    assert all(10 <= u <= 12 for u in used["opca"])
+    assert all(a <= u for a, u in zip(report.restarts_at_best["opca"],
+                                      used["opca"]))
+    assert used == {m: list(v) for m, v in report.restarts_used.items()}
+    assert "restarts_used" not in report.payload()
+
+
 def test_run_experiment_rejects_fewer_than_one_rep():
     with pytest.raises(ValueError, match="reps must be >= 1, got 0"):
         run_experiment(tiny_config(), reps=0)
@@ -111,7 +123,8 @@ def test_payload_config_is_plain_json(pid):
     cfg = PRESETS[pid]
     report = RunReport(config=cfg, seed=cfg.seed, n0=(), mismatches={},
                        rates={}, means={}, sds={}, wall_clock={},
-                       clustering={}, stage_clock={}, restarts_at_best={})
+                       clustering={}, stage_clock={}, restarts_at_best={},
+                       restarts_used={})
     config = report.payload()["config"]
     assert config == json.loads(json.dumps(config))
     assert config["A"] == [list(row) for row in cfg.A]
