@@ -13,12 +13,12 @@ import json
 import math
 import os
 import sys
-import time
 
 import click
 import numpy as np
 
-from . import datasets, dcbm, eigen, experiments, graph, metrics, pipeline
+from . import (cluster, datasets, dcbm, eigen, experiments, graph, metrics,
+               pipeline)
 from .errors import DataError, NumericalError
 from .seeding import derived_seed
 
@@ -97,25 +97,6 @@ def _truth_for(g, labels_path, builtin_labels, K):
     return truth
 
 
-class _StageClock:
-    """Seconds spent in each stage of one command, plus their total."""
-
-    def __init__(self):
-        self.start = self.last = time.perf_counter()
-        self.stages = {}
-
-    def lap(self, stage):
-        """Close `stage` at the current time."""
-        now = time.perf_counter()
-        self.stages[stage] = now - self.last
-        self.last = now
-
-    def totals(self):
-        """Rounded seconds per stage, and "total" up to the last lap."""
-        clocks = {**self.stages, "total": self.last - self.start}
-        return {key: round(v, 3) for key, v in clocks.items()}
-
-
 def _json_with_labels(payload, labels):
     """json.dumps({**payload, "labels": labels}, indent=2), byte for byte.
 
@@ -129,11 +110,19 @@ def _json_with_labels(payload, labels):
     return f'{head[:-2]},\n  "labels": {block}\n}}'
 
 
+def _key_values(mapping):
+    """The `key = value` lines of a mapping."""
+    return [f"{key} = {value}" for key, value in mapping.items()]
+
+
 def _emit(text, out):
+    """Write `text`, ended by one line feed, to the file `out` or stdout."""
+    if not text.endswith("\n"):
+        text += "\n"
     if out:
         try:
             with open(out, "w") as fh:
-                fh.write(text if text.endswith("\n") else text + "\n")
+                fh.write(text)
         except OSError as exc:
             raise DataError(f"cannot write {out!r}: "
                             f"{exc.strerror or exc}") from exc
@@ -141,8 +130,16 @@ def _emit(text, out):
         # not click.echo: click keeps every stdout object it has written to,
         # so each in-process run that swaps sys.stdout (CliRunner,
         # contextlib.redirect_stdout) would leave its whole output alive
-        sys.stdout.write(text + "\n")
+        sys.stdout.write(text)
         sys.stdout.flush()
+
+
+_restarts_option = click.option(
+    "--restarts", type=int, default=None,
+    help=f"Cap on Lloyd restarts (default {cluster.DEFAULT_RESTARTS}); "
+         f"k-means stops earlier once {cluster.AGREEING_RUNS} runs reach the "
+         f"best cost, after at least {cluster.MIN_RESTARTS}; unused by the "
+         "exact split of K=2 ratios.")
 
 
 @click.group()
@@ -164,11 +161,9 @@ def main():
                    "method=score).")
 @click.option("--tn", type=float, default=None,
               help="Ratio truncation level; default log(n).")
-@click.option("--restarts", type=int, default=None,
-              help="Cap on Lloyd restarts (default 100); k-means stops "
-                   "earlier once 3 runs reach the best cost, after at least "
-                   "10; unused by the exact split of K=2 ratios.")
-@click.option("--seed", type=int, default=0, show_default=True)
+@_restarts_option
+@click.option("--seed", type=click.IntRange(min=0), default=0,
+              show_default=True)
 @click.option("--json", "as_json", is_flag=True, help="Machine-readable output.")
 @click.option("--csv", "as_csv", is_flag=True, help="Per-node label rows.")
 @click.option("--out", default=None, help="Write output to a file.")
@@ -178,7 +173,7 @@ def detect(input_spec, labels, k, method, threshold, tn, restarts, seed,
     """Detect communities in a real network (giant component is used)."""
     if k < 1:
         raise ValueError(f"K must be >= 1, got {k}")
-    clock = _StageClock()
+    clock = pipeline.StageClock()
     g_raw, builtin_labels = _load_graph(input_spec)
     clock.lap("load")
     g, _ = graph.giant_component(g_raw)
@@ -220,8 +215,7 @@ def detect(input_spec, labels, k, method, threshold, tn, restarts, seed,
     if as_json:
         _emit(_json_with_labels(payload, result.labeling.labels.tolist()), out)
     else:
-        lines = [f"{key} = {value}" for key, value in payload.items()]
-        _emit("\n".join(lines), out)
+        _emit("\n".join(_key_values(payload)), out)
 
 
 def _load_config(preset, config_path):
@@ -241,13 +235,11 @@ def _load_config(preset, config_path):
 @click.option("--config", "config_path", default=None,
               help="Plain-text experiment config file.")
 @click.option("--reps", type=int, default=None, help="Override repetitions.")
-@click.option("--seed", type=int, default=None, help="Override master seed.")
+@click.option("--seed", type=click.IntRange(min=0), default=None,
+              help="Override master seed.")
 @click.option("--tn", type=float, default=math.inf, show_default="inf",
               help="Ratio truncation during simulation.")
-@click.option("--restarts", type=int, default=None,
-              help="Cap on Lloyd restarts (default 100); k-means stops "
-                   "earlier once 3 runs reach the best cost, after at least "
-                   "10; unused by the exact split of K=2 ratios.")
+@_restarts_option
 @click.option("--uniform-clustering", is_flag=True,
               help="Cluster every method with the multi-restart optimizer "
                    "(by default the normalized-PCA baseline is scored with "
@@ -276,21 +268,19 @@ def experiment(preset, config_path, reps, seed, tn, restarts,
         _emit(report.to_table(), out)
 
 
-def _spectra_rows(what, g, cfg, k, seed):
+def _spectra_rows(what, input_spec, preset, config_path, k, seed):
+    """Rows and extra fields of one spectra mode, reading only its source."""
     if what == "empirical":
-        if g is None:
+        if not input_spec:
             raise ValueError("empirical spectra need --input")
+        g, _ = _load_graph(input_spec)
         g0, _ = graph.giant_component(g)
         spectrum = eigen.leading_eigs(g0, k,
                                       seed=derived_seed(seed or 0, "eigs"))
         return [{"k": i + 1, "lambda": p.value, "residual": p.residual}
                 for i, p in enumerate(spectrum.pairs)], {"n0": g0.n}
-    if cfg is None:
-        raise ValueError(f"{what} spectra need --preset or --config")
-    theta = dcbm.permuted_theta(cfg.theta, cfg.n, cfg.seed if seed is None else seed)
-    params = dcbm.DCBMParams(K=cfg.K, A=cfg.a_matrix(), theta=theta,
-                             sizes=cfg.block_sizes())
-    truth = dcbm.block_labels(cfg.block_sizes())
+    cfg = _load_config(preset, config_path)
+    params, truth = cfg.model(cfg.seed if seed is None else seed)
     if what == "population":
         ps = dcbm.population_spectrum(params, truth)
         dists = dcbm.population_ratio_matrix(ps) if cfg.K >= 2 else None
@@ -325,7 +315,7 @@ def _min_row_distance(R):
 @click.option("--config", "config_path", default=None,
               help="Plain-text config file.")
 @click.option("--k", "k", type=int, default=2, show_default=True)
-@click.option("--seed", type=int, default=None)
+@click.option("--seed", type=click.IntRange(min=0), default=None)
 @click.option("--json", "as_json", is_flag=True)
 @click.option("--csv", "as_csv", is_flag=True)
 @click.option("--out", default=None, help="Write output to a file.")
@@ -333,27 +323,18 @@ def _min_row_distance(R):
 def spectra(what, input_spec, preset, config_path, k, seed, as_json, as_csv,
             out):
     """Inspect empirical or closed-form spectra, or model diagnostics."""
-    g = None
-    cfg = None
-    if input_spec:
-        g, _ = _load_graph(input_spec)
-    if preset or config_path:
-        cfg = _load_config(preset, config_path)
-    rows, extra = _spectra_rows(what, g, cfg, k, seed)
+    rows, extra = _spectra_rows(what, input_spec, preset, config_path, k,
+                                seed)
     if as_csv:
-        buf = io.StringIO()
         cols = list(rows[0])
-        buf.write(",".join(cols) + "\n")
-        for row in rows:
-            buf.write(",".join(str(row[c]) for c in cols) + "\n")
-        _emit(buf.getvalue(), out)
+        lines = [",".join(str(row[c]) for c in cols) for row in rows]
+        _emit("\n".join([",".join(cols)] + lines), out)
     elif as_json:
         _emit(json.dumps({"rows": rows, **extra}, indent=2), out)
     else:
         lines = [" ".join(f"{key}={value}" for key, value in row.items())
                  for row in rows]
-        lines += [f"{key} = {value}" for key, value in extra.items()]
-        _emit("\n".join(lines), out)
+        _emit("\n".join(lines + _key_values(extra)), out)
 
 
 @main.command("eval")
@@ -384,8 +365,7 @@ def eval_cmd(estimated, truth, k, as_json, out):
     if as_json:
         _emit(json.dumps(payload, indent=2), out)
     else:
-        _emit("\n".join(f"{key} = {value}" for key, value in payload.items()),
-              out)
+        _emit("\n".join(_key_values(payload)), out)
 
 
 if __name__ == "__main__":

@@ -88,17 +88,18 @@ def _magnitude_order(values, tol=0.0):
     return out
 
 
-def leading_eigs(op, K, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER, seed=0):
+def leading_eigs(op, K, seed=0):
     """The K leading (largest-|lambda|) eigenpairs of a symmetric operator.
 
     `op` may be a Graph, a scipy sparse matrix or a dense ndarray.  Symmetry
     is the caller's responsibility.  Each returned vector has unit norm,
-    residual ||A v - lambda v|| <= tol * max(1, |lambda|) (recomputed here;
-    NonConvergenceError otherwise), and its largest-magnitude entry made
-    positive.  The iterative path starts ARPACK from a seeded uniform random
-    vector, so results are reproducible, and gives up after `max_iter`
-    restarts.  n <= DENSE_CUTOFF and K >= n - 1 go dense.
+    residual ||A v - lambda v|| <= DEFAULT_TOL * max(1, |lambda|) (recomputed
+    here; NonConvergenceError otherwise), and its largest-magnitude entry
+    made positive.  The iterative path starts ARPACK from a seeded uniform
+    random vector, so results are reproducible, and gives up after
+    DEFAULT_MAX_ITER restarts.  n <= DENSE_CUTOFF and K >= n - 1 go dense.
     """
+    tol, max_iter = DEFAULT_TOL, DEFAULT_MAX_ITER
     mat = _as_operator(op)
     n = mat.shape[0]
     if not 1 <= K <= n:

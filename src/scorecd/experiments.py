@@ -11,14 +11,13 @@ bit-for-bit, in any execution order.
 
 import json
 import math
-import time
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import dcbm, eigen, metrics, pipeline
 from .errors import ParseError
-from .graph import remove_isolated
+from .graph import data_lines, remove_isolated
 from .seeding import derived_seed
 
 
@@ -33,13 +32,21 @@ class ExperimentConfig:
     methods: tuple
     seed: int = 1
 
+    def __post_init__(self):
+        if not 1 <= self.K <= self.n or self.n % self.K:
+            raise ValueError(f"n={self.n} is not a positive multiple of "
+                             f"K={self.K}")
+
     def block_sizes(self):
-        if self.n % self.K:
-            raise ValueError(f"n={self.n} not divisible by K={self.K}")
         return (self.n // self.K,) * self.K
 
-    def a_matrix(self):
-        return np.array(self.A, dtype=float)
+    def model(self, seed):
+        """(DCBMParams, true block labels); `seed`, an int or a Generator,
+        permutes the theta pattern."""
+        sizes = self.block_sizes()
+        theta = dcbm.permuted_theta(self.theta, self.n, seed)
+        params = dcbm.DCBMParams(K=self.K, A=self.A, theta=theta, sizes=sizes)
+        return params, dcbm.block_labels(sizes)
 
 
 def _cfg(id, n, K, rep, A, theta, methods):
@@ -113,12 +120,12 @@ def config_to_text(cfg):
 
 
 def config_from_text(text):
-    """Parse the plain-text config format back into an ExperimentConfig."""
+    """Parse the plain-text config format back into an ExperimentConfig.
+
+    Lines are read as graph.data_lines reads them; a bad value is a ParseError.
+    """
     fields = {}
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line[0] in "#%":
-            continue
+    for line_no, line in data_lines(text):
         if "=" not in line:
             raise ParseError(f"expected 'key = value', got {line!r}",
                              line_no=line_no)
@@ -148,7 +155,7 @@ def config_from_text(text):
 
 @dataclass(frozen=True, eq=False)
 class RunReport:
-    """Aggregated experiment outcome; everything but the clocks is seed-determined."""
+    """Aggregated experiment outcome; everything but the clock is seed-determined."""
 
     config: ExperimentConfig
     seed: int
@@ -157,9 +164,8 @@ class RunReport:
     rates: dict               # method -> tuple of mismatches/n0
     means: dict
     sds: dict
-    wall_clock: dict          # method -> total seconds across repetitions
+    clock: dict               # method, "sample" or "eigs" -> total seconds
     clustering: dict          # per-method kmeans overrides actually applied
-    stage_clock: dict         # "sample"/"eigs" -> total s of the shared steps
     restarts_at_best: dict    # method -> k-means runs ending at the best
                               # cost, per repetition (restart agreement;
                               # None where no k-means ran, as at K = 1)
@@ -186,14 +192,13 @@ class RunReport:
 
     def to_json(self):
         """payload() plus, under their own keys, the restart counts and the
-        clocks."""
+        clock."""
         out = self.payload()
         out["restarts_used"] = {m: list(v) for m, v in
                                 self.restarts_used.items()}
         out["restarts_at_best"] = {m: list(v) for m, v in
                                    self.restarts_at_best.items()}
-        clocks = {**self.wall_clock, **self.stage_clock}
-        out["wall_clock_s"] = {key: round(v, 3) for key, v in clocks.items()}
+        out["wall_clock_s"] = dict(self.clock)
         return json.dumps(out, indent=2)
 
     def to_table(self):
@@ -203,7 +208,7 @@ class RunReport:
                  f"{'method':<10} {'mean rate':>10} {'sd':>8} {'wall s':>8}"]
         for m in self.mismatches:
             lines.append(f"{m:<10} {self.means[m]:>10.4f} {self.sds[m]:>8.4f} "
-                         f"{self.wall_clock[m]:>8.2f}")
+                         f"{self.clock[m]:>8.2f}")
         return "\n".join(lines)
 
     def to_csv(self):
@@ -214,32 +219,26 @@ class RunReport:
         return "\n".join(lines) + "\n"
 
 
-def _run_repetition(cfg, params_A, sizes, truth, master, r, T_n, restarts,
-                    clustering):
-    t0 = time.perf_counter()
+def _run_repetition(cfg, master, r, T_n, restarts, clustering, clock):
+    """Survivor count and, per method, (mismatches, KMeansResult or None)."""
     rng = np.random.default_rng(np.random.SeedSequence([master, r]))
-    theta = dcbm.permuted_theta(cfg.theta, cfg.n, rng)
-    params = dcbm.DCBMParams(K=cfg.K, A=params_A, theta=theta, sizes=sizes)
+    params, truth = cfg.model(rng)
     g = dcbm.sample_adjacency(params, truth, rng)
     g0, keep = remove_isolated(g)
     truth0 = truth.labels[keep]
-    t1 = time.perf_counter()
+    clock.lap("sample")
     spectrum = eigen.leading_eigs(g0, cfg.K, seed=derived_seed(master, r, "eigs"))
-    stages = {"sample": t1 - t0, "eigs": time.perf_counter() - t1}
+    clock.lap("eigs")
     out = {}
     for m in cfg.methods:
-        t0 = time.perf_counter()
         knobs = dict(restarts=restarts)
         knobs.update(clustering.get(pipeline.parse_method(m)[2], {}))
         res = pipeline.run_method(g0, spectrum, m, cfg.K, T_n=T_n,
                                   seed=derived_seed(master, r, m), **knobs)
         ham = metrics.hamming_error(res.labeling.labels, truth0, cfg.K)
-        km = res.kmeans
-        out[m] = (ham.mismatches, ham.mismatches / g0.n,
-                  time.perf_counter() - t0,
-                  None if km is None else km.restarts_at_best,
-                  None if km is None else km.restarts_used)
-    return g0.n, out, stages
+        out[m] = (ham.mismatches, res.kmeans)
+        clock.lap(m)
+    return g0.n, out
 
 
 def run_experiment(cfg, seed=None, reps=None, T_n=math.inf,
@@ -255,34 +254,29 @@ def run_experiment(cfg, seed=None, reps=None, T_n=math.inf,
     n_reps = cfg.rep if reps is None else int(reps)
     if n_reps < 1:
         raise ValueError(f"reps must be >= 1, got {n_reps}")
-    sizes = cfg.block_sizes()
-    truth = dcbm.block_labels(sizes)
-    params_A = cfg.a_matrix()
     policy = dict(CLUSTERING_DEFAULTS)
     policy.update(clustering or {})
 
-    per_rep = []
+    clock = pipeline.StageClock()
+    n0, outcomes = [], []
     for r in range(n_reps):
-        per_rep.append(_run_repetition(cfg, params_A, sizes, truth, master, r,
-                                       T_n, restarts, policy))
+        n, out = _run_repetition(cfg, master, r, T_n, restarts, policy, clock)
+        n0.append(n)
+        outcomes.append(out)
         if progress is not None:
             progress(r)
 
-    n0 = tuple(row[0] for row in per_rep)
-    mismatches, rates, means, sds, wall = {}, {}, {}, {}, {}
-    at_best, used = {}, {}
+    mismatches, rates, means, sds, at_best, used = {}, {}, {}, {}, {}, {}
     for m in cfg.methods:
-        counts = tuple(row[1][m][0] for row in per_rep)
-        rate = tuple(row[1][m][1] for row in per_rep)
-        mean, sd = metrics.summarize(rate)
-        mismatches[m], rates[m] = counts, rate
-        means[m], sds[m] = mean, sd
-        wall[m] = float(sum(row[1][m][2] for row in per_rep))
-        at_best[m] = tuple(row[1][m][3] for row in per_rep)
-        used[m] = tuple(row[1][m][4] for row in per_rep)
-    stage_clock = {key: float(sum(row[2][key] for row in per_rep))
-                   for key in ("sample", "eigs")}
-    return RunReport(config=cfg, seed=master, n0=n0, mismatches=mismatches,
-                     rates=rates, means=means, sds=sds, wall_clock=wall,
-                     clustering=policy, stage_clock=stage_clock,
+        counts, kms = zip(*(out[m] for out in outcomes))
+        mismatches[m] = counts
+        rates[m] = tuple(count / n for count, n in zip(counts, n0))
+        means[m], sds[m] = metrics.summarize(rates[m])
+        at_best[m] = tuple(getattr(km, "restarts_at_best", None) for km in kms)
+        used[m] = tuple(getattr(km, "restarts_used", None) for km in kms)
+    times = clock.totals()
+    del times["total"]  # reported per method and shared step only
+    return RunReport(config=cfg, seed=master, n0=tuple(n0),
+                     mismatches=mismatches, rates=rates, means=means, sds=sds,
+                     clock=times, clustering=policy,
                      restarts_at_best=at_best, restarts_used=used)

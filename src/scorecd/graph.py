@@ -58,14 +58,22 @@ def from_edges(edges, n, original_ids=None):
     return Graph(n=n, adjacency=adj, original_ids=tuple(original_ids))
 
 
+def data_lines(text):
+    """(line number, stripped line) of each line of `text` holding data:
+    lines end at line feeds, and blanks and '#' or '%' comments are skipped."""
+    for line_no, raw in enumerate(io.StringIO(text), start=1):
+        line = raw.strip()
+        if line and line[0] not in "#%":
+            yield line_no, line
+
+
 def load_edge_list(source):
     """Parse an edge list from an open text file into an undirected Graph.
 
-    `source` is anything with `.read()`; its text is read whole and its lines
-    end at line feeds (open() in its default newline mode turns CR and CRLF
-    endings into line feeds).  Lines starting with '#' or '%' and
-    blank lines are skipped.  Every other line must hold exactly two node
-    tokens.  Tokens are arbitrary strings, remapped to dense indices in
+    `source` is anything with `.read()`; its text is read whole and split by
+    data_lines (open() in its default newline mode turns CR and CRLF endings
+    into line feeds), and each data line must hold exactly two node tokens.
+    Tokens are arbitrary strings, remapped to dense indices in
     first-appearance order.  Duplicate and reversed edges always merge and
     self-loops are dropped.  A text of canonical non-negative integer tokens
     is parsed vectorized (`_integer_edges`); any other text goes through the
@@ -78,10 +86,7 @@ def load_edge_list(source):
         return from_edges(pairs, n=len(ids), original_ids=ids)
     index = {}
     ends = []
-    for line_no, raw in enumerate(io.StringIO(text), start=1):
-        line = raw.strip()
-        if not line or line[0] in "#%":
-            continue
+    for line_no, line in data_lines(text):
         toks = line.split()
         if len(toks) != 2:
             raise ParseError(f"expected two node tokens, got {len(toks)}: {line!r}",
@@ -218,11 +223,10 @@ def remove_isolated(g):
 def read_labels(source):
     """Parse an open label file into a {node_token: label_token} dict.
 
-    `source` is anything with `.read()`, read whole; lines end at line feeds,
-    as in load_edge_list, and the table keeps file order.  One "node label"
-    pair per line, separated by whitespace or a comma, so the `node,label`
-    CSV that `detect --csv` writes reads back; that header line, blank lines
-    and lines starting with '#' or '%' are skipped.  A node listed twice with
+    `source` is anything with `.read()`, read whole and split by data_lines;
+    the table keeps file order.  One "node label" pair per line, separated by
+    whitespace or a comma, so the `node,label` CSV that `detect --csv` writes
+    reads back; that header line is skipped.  A node listed twice with
     different labels is an error, as is a file with no pairs.  A text of
     plain pairs (see _label_table) is read by one split; any other text goes
     through the line loop, which gives the same table and reports every
@@ -233,10 +237,7 @@ def read_labels(source):
     if table is not None:
         return table
     table = {}
-    for line_no, raw in enumerate(io.StringIO(text), start=1):
-        line = raw.strip()
-        if not line or line[0] in "#%":
-            continue
+    for line_no, line in data_lines(text):
         toks = line.replace(",", " ").split()
         if len(toks) != 2:
             raise ParseError(f"expected 'node label', got: {line!r}", line_no=line_no)

@@ -1,6 +1,7 @@
 """End-to-end detection: graph -> spectrum -> embedding -> partition."""
 
 import math
+import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,6 +32,25 @@ def parse_method(spec_str):
         return "scoreq", q, f"scoreq:{q:g}"
     raise ValueError(f"unknown method {spec_str!r}; expected score, "
                      "scoreq:<q>, opca or npca")
+
+
+class StageClock:
+    """Seconds spent in each stage of one run, plus their total."""
+
+    def __init__(self):
+        self.start = self.last = time.perf_counter()
+        self.stages = {}
+
+    def lap(self, stage):
+        """Close `stage` at the current time; laps of one stage add up."""
+        now = time.perf_counter()
+        self.stages[stage] = self.stages.get(stage, 0.0) + (now - self.last)
+        self.last = now
+
+    def totals(self):
+        """Rounded (1 ms) seconds per stage, and "total" up to the last lap."""
+        clocks = {**self.stages, "total": self.last - self.start}
+        return {key: round(v, 3) for key, v in clocks.items()}
 
 
 @dataclass(frozen=True, eq=False)

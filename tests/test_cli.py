@@ -7,12 +7,13 @@ import math
 import pathlib
 import tempfile
 import weakref
+from types import SimpleNamespace
 from unittest import mock
 
 import pytest
 from click.testing import CliRunner
 
-from scorecd import cli, graph
+from scorecd import cli, graph, pipeline
 from scorecd.cli import main
 
 
@@ -143,30 +144,55 @@ def test_unreadable_input_is_data_error(tmp_path, where, kind):
 
 WRITING_COMMANDS = {
     "detect": ["detect", "--input", "builtin:karate", "--k", "2"],
-    "experiment": ["experiment", "--config", "{cfg}", "--json"],
+    "experiment": ["experiment", "--config", "{cfg}"],
     "spectra": ["spectra", "population", "--preset", "1"],
     "eval": ["eval", "--estimated", "{labels}", "--truth", "{labels}"],
 }
 
 
-@pytest.mark.parametrize("kind", ["directory", "missing parent"])
-@pytest.mark.parametrize("command", sorted(WRITING_COMMANDS))
-def test_unwritable_out_is_data_error(tmp_path, command, kind):
+def writing_command(tmp_path, command):
+    """WRITING_COMMANDS[command] with its input files written to tmp_path."""
     cfg = tmp_path / "cfg.txt"
     cfg.write_text("n = 40\nK = 2\nrep = 1\nA = 1 0.8 ; 0.8 1\n"
                    "theta = constant c=0.5\nmethods = score\n")
     labels = tmp_path / "labels.txt"
     labels.write_text("a 1\nb 2\n")
+    return [arg.format(cfg=cfg, labels=labels)
+            for arg in WRITING_COMMANDS[command]]
+
+
+@pytest.mark.parametrize("kind", ["directory", "missing parent"])
+@pytest.mark.parametrize("command", sorted(WRITING_COMMANDS))
+def test_unwritable_out_is_data_error(tmp_path, command, kind):
     out = tmp_path / "out"
     if kind == "directory":
         out.mkdir()
     else:
         out = out / "result.txt"
-    args = [arg.format(cfg=cfg, labels=labels)
-            for arg in WRITING_COMMANDS[command]]
+    args = writing_command(tmp_path, command)
     result = CliRunner().invoke(main, args + ["--out", str(out)])
     assert result.exit_code == 3
     assert result.output.startswith(f"data error: cannot write {str(out)!r}: ")
+
+
+@pytest.mark.parametrize("command, fmt", [
+    (command, fmt) for command in sorted(WRITING_COMMANDS)
+    for fmt in ("text", "--json", "--csv")
+    if (command, fmt) != ("eval", "--csv")])
+def test_stdout_and_out_file_get_the_same_bytes(tmp_path, monkeypatch,
+                                                command, fmt):
+    # a stopped clock, so that both runs print the same seconds
+    monkeypatch.setattr(pipeline, "time",
+                        SimpleNamespace(perf_counter=lambda: 0.0))
+    args = writing_command(tmp_path, command)
+    args += [] if fmt == "text" else [fmt]
+    out = tmp_path / "out.txt"
+    printed = run(*args)
+    assert printed.exit_code == 0
+    assert run(*args, "--out", str(out)).exit_code == 0
+    assert printed.stdout_bytes == out.read_bytes()
+    assert printed.stdout_bytes.endswith(b"\n")
+    assert not printed.stdout_bytes.endswith(b"\n\n")
 
 
 @pytest.mark.parametrize("k, used, at_best", [(2, 1, 1), (3, 10, 3)])
@@ -259,6 +285,39 @@ def test_spectra_population_and_diagnostics_preset1():
 def test_spectra_requires_a_source():
     result = CliRunner().invoke(main, ["spectra", "population"])
     assert result.exit_code == 2
+
+
+@pytest.mark.parametrize("args", [
+    ["population", "--preset", "1", "--input", "{missing}"],
+    ["empirical", "--input", "builtin:karate", "--preset", "9z"]])
+def test_spectra_reads_only_the_source_its_mode_uses(tmp_path, args):
+    missing = tmp_path / "missing.txt"
+    result = CliRunner().invoke(main, ["spectra"] + [
+        arg.format(missing=missing) for arg in args])
+    assert result.exit_code == 0
+
+
+@pytest.mark.parametrize("command", [
+    ["detect", "--input", "builtin:karate", "--k", "2"],
+    ["experiment", "1", "--reps", "1"],
+    ["spectra", "population", "--preset", "1"]])
+def test_negative_seed_is_an_argument_error_naming_the_option(command):
+    result = CliRunner().invoke(main, command + ["--seed", "-1"])
+    assert result.exit_code == 2
+    assert "Invalid value for '--seed': -1" in result.output
+
+
+@pytest.mark.parametrize("command", [["experiment"],
+                                     ["spectra", "population"]])
+@pytest.mark.parametrize("n, k", [(40, 0), (40, -2), (41, 2)])
+def test_config_whose_k_does_not_split_n_is_data_error(tmp_path, command, n,
+                                                       k):
+    path = tmp_path / "cfg.txt"
+    path.write_text(f"n = {n}\nK = {k}\nrep = 1\nA = 1 0.8 ; 0.8 1\n"
+                    "theta = constant c=0.5\n")
+    result = CliRunner().invoke(main, command + ["--config", str(path)])
+    assert result.exit_code == 3
+    assert result.output.startswith("data error: bad config value: ")
 
 
 def test_degenerate_model_exits_numerical_failure(tmp_path):

@@ -82,9 +82,8 @@ def repetition0_digests(preset):
     from scorecd.experiments import PRESETS
     cfg = PRESETS[preset]
     rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 0]))
-    params = DCBMParams(K=cfg.K, A=cfg.a_matrix(), sizes=cfg.block_sizes(),
-                        theta=permuted_theta(cfg.theta, cfg.n, rng))
-    adj = sample_adjacency(params, block_labels(params.sizes), rng).adjacency
+    params, labels = cfg.model(rng)
+    adj = sample_adjacency(params, labels, rng).adjacency
     assert adj.has_canonical_format and adj.data.dtype == np.int8
     digests = {}
     for name in ("indptr", "indices", "data"):

@@ -115,17 +115,20 @@ def test_argument_and_convergence_errors(rng, monkeypatch):
         leading_eigs(M, K=0)
     # unreachable tolerance: the solver must give up and report residuals
     monkeypatch.setattr(eigen, "DENSE_CUTOFF", 0)
+    monkeypatch.setattr(eigen, "DEFAULT_TOL", 0.0)
+    monkeypatch.setattr(eigen, "DEFAULT_MAX_ITER", 2)
     with pytest.raises(NonConvergenceError) as err:
-        leading_eigs(M, K=2, tol=0.0, max_iter=2)
+        leading_eigs(M, K=2)
     assert err.value.residuals is not None
 
 
-def test_arpack_restart_budget_is_reported():
+def test_arpack_restart_budget_is_reported(monkeypatch):
     # a long cycle's clustered spectrum cannot converge in one restart
     n = 600
     g = from_edges([(i, (i + 1) % n) for i in range(n)], n)
+    monkeypatch.setattr(eigen, "DEFAULT_MAX_ITER", 1)
     with pytest.raises(NonConvergenceError, match="within 1 restarts") as err:
-        leading_eigs(g, K=2, max_iter=1)
+        leading_eigs(g, K=2)
     assert err.value.residuals.shape == (2,)
 
 

@@ -28,12 +28,12 @@ def test_preset_table_matches_published_settings():
         assert (cfg.n, cfg.K, cfg.rep) == (n, K, rep)
         assert cfg.theta.kind == kind
         assert cfg.theta.params == pytest.approx(params)
-        A = cfg.a_matrix()
+        A = np.array(cfg.A)
         assert np.allclose(A, A.T)
         assert np.allclose(np.diag(A), 1.0)
     assert PRESETS["1"].A[0][1] == 0.5
     assert PRESETS["2a"].A[0][1] == 0.4
-    A3 = PRESETS["2d"].a_matrix()
+    A3 = np.array(PRESETS["2d"].A)
     assert A3[0, 1] == 0.4 and A3[1, 2] == 0.4 and A3[0, 2] == 0.05
     # the off-pattern theta profiles reproduce the published formulas
     i = np.arange(1, 801)
@@ -57,6 +57,24 @@ def test_config_parse_errors():
         config_from_text("just some words\n")
     with pytest.raises(ParseError, match="bad config value"):
         config_from_text("n = 10\nK = x\nrep = 1\nA = 1\ntheta = constant c=0.2\n")
+    # lines end only at line feeds, so the K line here is part of the n line
+    for brk in "\f\u2028":
+        with pytest.raises(ParseError, match=r"missing keys: \['k'\]"):
+            config_from_text(f"n = 10{brk}K = 2\nrep = 1\nA = 1\n"
+                             "theta = constant c=0.2\n")
+
+
+@pytest.mark.parametrize("n, K, message", [
+    (40, 0, "n=40 is not a positive multiple of K=0"),
+    (40, -2, "n=40 is not a positive multiple of K=-2"),
+    (41, 2, "n=41 is not a positive multiple of K=2")])
+def test_config_block_count_must_split_n(n, K, message):
+    with pytest.raises(ParseError, match=message):
+        config_from_text(f"n = {n}\nK = {K}\nrep = 1\nA = 1 0.5 ; 0.5 1\n"
+                         "theta = constant c=0.2\n")
+    # no config reaches block_sizes() with a K that does not split n
+    with pytest.raises(ValueError, match=message):
+        tiny_config(n=n, K=K)
 
 
 def tiny_config(**overrides):
@@ -76,7 +94,7 @@ def test_run_experiment_shapes_and_rates():
         for r, rate in enumerate(report.rates[method]):
             assert rate == report.mismatches[method][r] / report.n0[r]
         assert 0.0 <= report.means[method] <= 1.0
-    assert set(report.wall_clock) == {"score", "opca"}
+    assert set(report.clock) == {"score", "opca", "sample", "eigs"}
 
 
 def test_json_reports_sample_and_eigs_stage_totals():
@@ -84,7 +102,7 @@ def test_json_reports_sample_and_eigs_stage_totals():
     clocks = json.loads(report.to_json())["wall_clock_s"]
     assert set(clocks) == {"score", "opca", "sample", "eigs"}
     assert all(seconds >= 0.0 for seconds in clocks.values())
-    assert set(report.stage_clock) == {"sample", "eigs"}
+    assert clocks == report.clock
     assert "wall_clock_s" not in report.payload()
 
 
@@ -122,9 +140,8 @@ def test_run_experiment_rejects_fewer_than_one_rep():
 def test_payload_config_is_plain_json(pid):
     cfg = PRESETS[pid]
     report = RunReport(config=cfg, seed=cfg.seed, n0=(), mismatches={},
-                       rates={}, means={}, sds={}, wall_clock={},
-                       clustering={}, stage_clock={}, restarts_at_best={},
-                       restarts_used={})
+                       rates={}, means={}, sds={}, clock={}, clustering={},
+                       restarts_at_best={}, restarts_used={})
     config = report.payload()["config"]
     assert config == json.loads(json.dumps(config))
     assert config["A"] == [list(row) for row in cfg.A]

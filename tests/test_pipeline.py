@@ -1,9 +1,11 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
-from scorecd import hamming_error, leading_eigs
+from scorecd import hamming_error, leading_eigs, pipeline
 from scorecd.dcbm import DCBMParams, block_labels, sample_adjacency
-from scorecd.pipeline import parse_method, run_method
+from scorecd.pipeline import StageClock, parse_method, run_method
 from scorecd.graph import giant_component
 
 
@@ -17,6 +19,17 @@ def test_parse_method_forms():
         parse_method("modularity")
     with pytest.raises(ValueError):
         parse_method("scoreq:-1")
+
+
+def test_stage_clock_adds_up_laps_of_one_stage(monkeypatch):
+    ticks = iter([0.0, 0.0014, 2.0, 2.5])
+    monkeypatch.setattr(pipeline, "time",
+                        SimpleNamespace(perf_counter=lambda: next(ticks)))
+    clock = StageClock()
+    clock.lap("a")
+    clock.lap("b")
+    clock.lap("a")
+    assert clock.totals() == {"a": 0.501, "b": 1.999, "total": 2.5}
 
 
 @pytest.fixture(scope="module")

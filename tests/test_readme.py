@@ -1,14 +1,41 @@
-"""The README's Library section and the package's exports agree."""
+"""The README's examples run, and its Library section and the package's
+exports agree."""
 
 import ast
 import contextlib
 import io
 import re
+import shlex
 from pathlib import Path
 
+import pytest
+from click.testing import CliRunner
+
 import scorecd
+from scorecd.cli import main
 
 README = Path(__file__).resolve().parents[1] / "README.md"
+FILE_OPTIONS = ("--input", "--labels", "--config", "--estimated", "--truth")
+
+
+def self_contained_commands():
+    """Arguments of each `scorecd` line of the Command line block that reads
+    no file of the user's (a builtin input is not one)."""
+    text = README.read_text()
+    section = text[text.index("\n## Command line\n"):]
+    block = re.search(r"```sh\n(.*?)```", section, re.S).group(1)
+    commands = [shlex.split(line)[1:] for line in block.splitlines()
+                if line.startswith("scorecd ")]
+    return [args for args in commands
+            if not any(opt in FILE_OPTIONS and not value.startswith("builtin:")
+                       for opt, value in zip(args, args[1:]))]
+
+
+@pytest.mark.parametrize("args", self_contained_commands(), ids=" ".join)
+def test_command_line_example_runs(tmp_path, monkeypatch, args):
+    monkeypatch.chdir(tmp_path)  # an example may write --out files
+    result = CliRunner().invoke(main, args)
+    assert result.exit_code == 0, result.output
 
 
 def library_section():
