@@ -21,6 +21,7 @@ from .graph import from_edges
 from .seeding import as_rng
 
 DAD_GAP_TOL = 1e-12
+_BLOCK_ENTRIES = 1 << 16  # sample_adjacency draws about this many at once
 
 
 @dataclass(frozen=True, eq=False)
@@ -110,25 +111,49 @@ def _check_labels(p, labels):
 def sample_adjacency(p, labels, seed):
     """Draw one graph: independent Bernoulli(O(i,j)) upper-triangle entries.
 
-    Streams row by row so the expectation matrix is never materialized.
-    Deterministic given the seed.
+    Pair (i, j), i < j, is an edge when its uniform u < (theta_i * theta_j)
+    * A(k_i, k_j), with one uniform per pair drawn in row-major order, so
+    the graph and the generator's final state are fixed by the seed.  The
+    uniforms come in blocks of about _BLOCK_ENTRIES pairs (whole rows), and
+    the probability is computed only where u falls under its row's bound,
+    so the expectation matrix is never materialized.
     """
     _check_labels(p, labels)
     rng = as_rng(seed)
     n = p.n
     lab0 = labels.labels - 1
     theta = p.theta
-    a_rows = p.A[:, lab0]  # a_rows[k, j] = A[k, lab0[j]]
+    a_rows = p.A[:, lab0].ravel()  # a_rows[k * n + j] = A(k, k_j)
+    # Rounding is monotone and every factor is nonnegative, so each
+    # probability in row i is <= bound[i] bit for bit: u >= bound[i] is
+    # never an edge.
+    bound = theta * theta.max() * p.A.max(axis=1)[lab0]
+    lengths = np.arange(n - 1, 0, -1)  # row i holds pairs (i, i+1..n-1)
+    ends = np.cumsum(lengths)          # flat end of each row
+    # a block is the rows whose ends fall in one _BLOCK_ENTRIES window
+    window = ends // _BLOCK_ENTRIES
+    starts = np.flatnonzero(np.diff(window, prepend=-1)).tolist()
     counts, cols = [], []
-    for i, k in enumerate(lab0[:-1].tolist()):
-        probs = theta[i] * theta[i + 1:] * a_rows[k, i + 1:]
-        hits = np.nonzero(rng.random(n - 1 - i) < probs)[0]
-        counts.append(hits.size)
-        cols.append(hits + (i + 1))
-    pairs = (np.column_stack([np.repeat(np.arange(n - 1), counts),
-                              np.concatenate(cols)])
-             if cols else ())
-    return from_edges(pairs, n)
+    for r0, r1 in zip(starts, starts[1:] + [n - 1]):
+        row_ends = ends[r0:r1] - (ends[r0] - lengths[r0])  # within the block
+        u = rng.random(int(row_ends[-1]))
+        cand = np.flatnonzero(u < np.repeat(bound[r0:r1], lengths[r0:r1]))
+        per_row = _per_row(cand, row_ends)
+        j = cand + np.repeat(n - row_ends, per_row)
+        probs = ((np.repeat(theta[r0:r1], per_row) * theta[j])
+                 * a_rows[np.repeat(lab0[r0:r1] * n, per_row) + j])
+        hit = u[cand] < probs
+        counts.append(_per_row(cand[hit], row_ends))
+        cols.append(j[hit])
+    if not cols:  # n = 1
+        return from_edges((), n)
+    rows = np.repeat(np.arange(n - 1), np.concatenate(counts))
+    return from_edges(np.column_stack([rows, np.concatenate(cols)]), n)
+
+
+def _per_row(flat, row_ends):
+    """How many of the sorted flat positions `flat` fall in each row."""
+    return np.diff(np.searchsorted(flat, row_ends), prepend=0)
 
 
 _THETA_PARAM_NAMES = {

@@ -36,6 +36,10 @@ class ExperimentConfig:
         if not 1 <= self.K <= self.n or self.n % self.K:
             raise ValueError(f"n={self.n} is not a positive multiple of "
                              f"K={self.K}")
+        if self.rep < 1:
+            raise ValueError(f"reps must be >= 1, got {self.rep} (key 'rep')")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
     def block_sizes(self):
         return (self.n // self.K,) * self.K

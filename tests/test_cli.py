@@ -320,6 +320,21 @@ def test_config_whose_k_does_not_split_n_is_data_error(tmp_path, command, n,
     assert result.output.startswith("data error: bad config value: ")
 
 
+@pytest.mark.parametrize("command", [["experiment"],
+                                     ["spectra", "population"]])
+@pytest.mark.parametrize("line, message", [
+    ("rep = 0", "reps must be >= 1, got 0 (key 'rep')"),
+    ("rep = 1\nseed = -1", "seed must be >= 0, got -1")])
+def test_config_rep_and_seed_out_of_range_are_data_errors(tmp_path, command,
+                                                          line, message):
+    path = tmp_path / "cfg.txt"
+    path.write_text(f"n = 40\nK = 2\n{line}\nA = 1 0.8 ; 0.8 1\n"
+                    "theta = constant c=0.5\n")
+    result = CliRunner().invoke(main, command + ["--config", str(path)])
+    assert result.exit_code == 3
+    assert result.output == f"data error: bad config value: {message}\n"
+
+
 def test_degenerate_model_exits_numerical_failure(tmp_path):
     path = tmp_path / "cfg.txt"
     path.write_text("id = d\nn = 8\nK = 2\nrep = 1\nA = 1 0 ; 0 1\n"

@@ -4,11 +4,13 @@ import math
 import numpy as np
 import pytest
 
-from scorecd import leading_eigs
+from scorecd import dcbm, leading_eigs
+from scorecd.cluster import Labeling
 from scorecd.dcbm import (DCBMParams, ThetaPattern, block_labels, diagnostics,
                           permuted_theta, population_ratio_matrix,
                           population_spectrum, sample_adjacency)
 from scorecd.errors import DegeneracyError, ModelValidityError
+from scorecd.graph import from_edges
 
 from conftest import build_omega, r0_vector, random_dcbm
 
@@ -105,6 +107,91 @@ def test_sample_golden_digest_k3():
     assert repetition0_digests("2d") == {"indptr": "d14c3ab38639e213",
                                          "indices": "4c4e4d257a55dadf",
                                          "data": "3c762713fa849a07"}
+
+
+def row_loop_sample(p, labels, rng):
+    """Reference sampler: one rng.random call per upper-triangle row."""
+    n = p.n
+    lab0 = labels.labels - 1
+    theta = p.theta
+    a_rows = p.A[:, lab0]  # a_rows[k, j] = A[k, lab0[j]]
+    counts, cols = [], []
+    for i, k in enumerate(lab0[:-1].tolist()):
+        probs = theta[i] * theta[i + 1:] * a_rows[k, i + 1:]
+        hits = np.nonzero(rng.random(n - 1 - i) < probs)[0]
+        counts.append(hits.size)
+        cols.append(hits + (i + 1))
+    pairs = (np.column_stack([np.repeat(np.arange(n - 1), counts),
+                              np.concatenate(cols)])
+             if cols else ())
+    return from_edges(pairs, n)
+
+
+def assert_same_draw(params, labels, seed):
+    """The sampler and the row loop give the same CSR arrays and leave
+    equally seeded generators in the same state."""
+    rng_ref = np.random.default_rng(seed)
+    rng_new = np.random.default_rng(seed)
+    ref = row_loop_sample(params, labels, rng_ref).adjacency
+    new = sample_adjacency(params, labels, rng_new).adjacency
+    for name in ("indptr", "indices", "data"):
+        a, b = getattr(ref, name), getattr(new, name)
+        assert a.dtype == b.dtype, name
+        assert np.array_equal(a, b), name
+    assert rng_new.bit_generator.state == rng_ref.bit_generator.state
+
+
+def test_uniform_stream_survives_blocking():
+    # the property the blocked sampler rests on: one call of a + b uniforms
+    # yields the bits and the final state of a call of a, then one of b
+    one, two = np.random.default_rng(5), np.random.default_rng(5)
+    split = np.concatenate([two.random(3), two.random(1000), two.random(1)])
+    assert np.array_equal(one.random(1004), split)
+    assert one.bit_generator.state == two.bit_generator.state
+
+
+@pytest.mark.parametrize("preset", ["1", "2a", "2b", "2c", "2d", "3", "4a",
+                                    "4b", "4c"])
+def test_sample_matches_row_loop_on_presets(preset):
+    from scorecd.experiments import PRESETS
+    cfg = PRESETS[preset]
+    for seed in (3, 17, 2024):
+        params, labels = cfg.model(seed)
+        assert_same_draw(params, labels, seed)
+
+
+def test_sample_matches_row_loop_on_edge_shapes(rng):
+    one = np.array([[1.0]])
+    cases = [DCBMParams(K=1, A=one, theta=np.full(n, 0.5), sizes=(n,))
+             for n in (1, 2, 3)]
+    cases.append(DCBMParams(K=2, A=np.eye(2), theta=np.full(3, 0.9),
+                            sizes=(1, 2)))
+    cases.append(DCBMParams(K=3, A=np.eye(3), theta=rng.uniform(0.1, 0.9, 60),
+                            sizes=(10, 20, 30)))   # zero off-diagonal blocks
+    cases.append(DCBMParams(K=1, A=one, theta=np.full(40, 1.0 - 1e-12),
+                            sizes=(40,)))
+    cases.append(DCBMParams(K=2, A=[[0.3, 1.0], [1.0, 0.0]],
+                            theta=1.0 - rng.uniform(1e-15, 1e-3, 50),
+                            sizes=(25, 25)))      # theta near 1, zero A(2, 2)
+    for params in cases:
+        for seed in range(4):
+            assert_same_draw(params, block_labels(params.sizes), seed)
+    for _ in range(20):
+        params, labels = random_dcbm(rng, n_max=120)
+        assert_same_draw(params, labels, int(rng.integers(1 << 30)))
+        # labels need not come in contiguous blocks
+        shuffled = Labeling(labels=rng.permutation(labels.labels), K=labels.K)
+        assert_same_draw(params, shuffled, int(rng.integers(1 << 30)))
+
+
+@pytest.mark.parametrize("block", [1, 7, 100])
+def test_sample_matches_row_loop_with_rows_longer_than_a_block(
+        monkeypatch, block):
+    monkeypatch.setattr(dcbm, "_BLOCK_ENTRIES", block)
+    params = DCBMParams(K=2, A=np.array([[1.0, 0.5], [0.5, 0.8]]),
+                        theta=np.linspace(0.05, 0.95, 150), sizes=(70, 80))
+    for seed in range(3):
+        assert_same_draw(params, block_labels(params.sizes), seed)
 
 
 def test_sampling_frequencies_match_block_rates():

@@ -77,6 +77,17 @@ def test_config_block_count_must_split_n(n, K, message):
         tiny_config(n=n, K=K)
 
 
+@pytest.mark.parametrize("key, value, message", [
+    ("rep", 0, r"reps must be >= 1, got 0 \(key 'rep'\)"),
+    ("seed", -1, "seed must be >= 0, got -1")])
+def test_config_rep_and_seed_must_be_in_range(key, value, message):
+    with pytest.raises(ParseError, match=message):
+        config_from_text(f"n = 40\nK = 2\nrep = 1\nA = 1 0.5 ; 0.5 1\n"
+                         f"theta = constant c=0.2\n{key} = {value}\n")
+    with pytest.raises(ValueError, match=message):
+        tiny_config(**{key: value})
+
+
 def tiny_config(**overrides):
     fields = dict(id="tiny", n=60, K=2, rep=3,
                   A=((1.0, 0.9), (0.9, 1.0)),
