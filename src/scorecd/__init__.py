@@ -7,10 +7,11 @@ degree effects, and k-means the resulting rows.  Classical spectral baselines
 degree-corrected block model simulation harness round out the toolkit; they
 live in the submodules (`scorecd.pipeline`, `scorecd.dcbm`,
 `scorecd.experiments`).  The package exports the README's entry points, the
-types they return and the exception classes.
+types they return and the exception classes.  Labels are plain int64 arrays
+holding one community in 1..K per node.
 """
 
-from .cluster import KMeansResult, Labeling, kmeans
+from .cluster import KMeansResult, kmeans
 from .eigen import Spectrum, leading_eigs
 from .embed import RatioMatrix, score_ratio
 from .errors import (DataError, DegeneracyError, ModelValidityError,
@@ -23,8 +24,7 @@ __version__ = "0.1.0"
 __all__ = [
     "load_edge_list", "giant_component", "leading_eigs", "score_ratio",
     "kmeans", "hamming_error",
-    "Graph", "Spectrum", "RatioMatrix", "KMeansResult", "Labeling",
-    "HammingResult",
+    "Graph", "Spectrum", "RatioMatrix", "KMeansResult", "HammingResult",
     "DataError", "DegeneracyError", "ModelValidityError",
     "NonConvergenceError", "NumericalError", "ParseError",
 ]

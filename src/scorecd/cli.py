@@ -153,7 +153,8 @@ def main():
               help="Edge-list path or builtin:<name>.")
 @click.option("--labels", default=None,
               help="Ground-truth 'node label' file (or node,label CSV).")
-@click.option("--k", "k", type=int, required=True, help="Community count.")
+@click.option("--k", "k", type=click.IntRange(min=1), required=True,
+              help="Community count.")
 @click.option("--method", default="score", show_default=True,
               help="score, scoreq:<q>, opca or npca.")
 @click.option("--threshold", type=float, default=None,
@@ -171,8 +172,6 @@ def main():
 def detect(input_spec, labels, k, method, threshold, tn, restarts, seed,
            as_json, as_csv, out):
     """Detect communities in a real network (giant component is used)."""
-    if k < 1:
-        raise ValueError(f"K must be >= 1, got {k}")
     clock = pipeline.StageClock()
     g_raw, builtin_labels = _load_graph(input_spec)
     clock.lap("load")
@@ -188,13 +187,13 @@ def detect(input_spec, labels, k, method, threshold, tn, restarts, seed,
     truth = _truth_for(g, labels, builtin_labels, k)
     ham = None
     if truth is not None:
-        ham = metrics.hamming_error(result.labeling.labels, truth, k)
+        ham = metrics.hamming_error(result.labels, truth, k)
     clock.lap("labels")
 
     if as_csv:
         lines = ["node,label"]
         lines += [f"{tok},{lab}" for tok, lab in
-                  zip(g.original_ids, result.labeling.labels.tolist())]
+                  zip(g.original_ids, result.labels.tolist())]
         _emit("\n".join(lines), out)
         return
     payload = {
@@ -213,7 +212,7 @@ def detect(input_spec, labels, k, method, threshold, tn, restarts, seed,
         payload.update(mismatches=ham.mismatches, rate=ham.rate,
                        best_perm=list(ham.best_perm))
     if as_json:
-        _emit(_json_with_labels(payload, result.labeling.labels.tolist()), out)
+        _emit(_json_with_labels(payload, result.labels.tolist()), out)
     else:
         _emit("\n".join(_key_values(payload)), out)
 
@@ -314,7 +313,8 @@ def _min_row_distance(R):
 @click.option("--preset", default=None, help="Experiment preset id.")
 @click.option("--config", "config_path", default=None,
               help="Plain-text config file.")
-@click.option("--k", "k", type=int, default=2, show_default=True)
+@click.option("--k", "k", type=click.IntRange(min=1), default=2,
+              show_default=True)
 @click.option("--seed", type=click.IntRange(min=0), default=None)
 @click.option("--json", "as_json", is_flag=True)
 @click.option("--csv", "as_csv", is_flag=True)
@@ -341,7 +341,7 @@ def spectra(what, input_spec, preset, config_path, k, seed, as_json, as_csv,
 @click.option("--estimated", required=True,
               help="'node label' file (or node,label CSV) to score.")
 @click.option("--truth", required=True, help="'node label' reference file.")
-@click.option("--k", "k", type=int, default=None,
+@click.option("--k", "k", type=click.IntRange(min=1), default=None,
               help="Community count; default: distinct labels seen.")
 @click.option("--json", "as_json", is_flag=True)
 @click.option("--out", default=None, help="Write output to a file.")

@@ -51,26 +51,11 @@ AGREEING_RUNS = 3  # runs at the lowest cost so far that end the restarts
 
 
 @dataclass(frozen=True, eq=False)
-class Labeling:
-    """Community assignment: labels in {1..K} (empty communities allowed)."""
+class KMeansResult:
+    """The winning run: int64 labels in 1..K (empty clusters allowed), its
+    K x d centers and cost, and the restart counts."""
 
     labels: np.ndarray
-    K: int
-
-    def __post_init__(self):
-        labels = np.asarray(self.labels, dtype=np.int64)
-        object.__setattr__(self, "labels", labels)
-        if labels.size and (labels.min() < 1 or labels.max() > self.K):
-            raise ValueError(f"labels must lie in 1..{self.K}")
-
-    @property
-    def n(self):
-        return self.labels.size
-
-
-@dataclass(frozen=True, eq=False)
-class KMeansResult:
-    labeling: Labeling
     centers: np.ndarray
     cost: float
     restarts_used: int
@@ -373,12 +358,11 @@ def kmeans(points, K, restarts=DEFAULT_RESTARTS, seed=0, init="plusplus"):
         cost, labels, centers, trace = best
         used, at_best = len(costs), costs.count(cost)
     labels, centers = _renumber_by_first_member(labels, centers, K)
-    return KMeansResult(labeling=Labeling(labels=labels, K=K), centers=centers,
-                        cost=cost, restarts_used=used, trace=trace,
+    return KMeansResult(labels=labels, centers=centers, cost=cost,
+                        restarts_used=used, trace=trace,
                         restarts_at_best=at_best)
 
 
 def threshold_classify(r, t):
     """Two-community split of a 1-D ratio vector: label 1 iff r(i) > t."""
-    r = np.asarray(r, dtype=float).ravel()
-    return Labeling(labels=np.where(r > t, 1, 2), K=2)
+    return np.where(np.asarray(r, dtype=float).ravel() > t, 1, 2)

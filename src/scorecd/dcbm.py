@@ -13,7 +13,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cluster import Labeling
 from .eigen import _lead_sign, _magnitude_order
 from .embed import RatioMatrix
 from .errors import DegeneracyError, ModelValidityError
@@ -98,13 +97,13 @@ class Diagnostics:
 def block_labels(sizes):
     """Contiguous-block community assignment: sizes (n1..nK) -> labels 1..K."""
     sizes = [int(s) for s in sizes]
-    return Labeling(labels=np.repeat(np.arange(1, len(sizes) + 1), sizes),
-                    K=len(sizes))
+    return np.repeat(np.arange(1, len(sizes) + 1), sizes)
 
 
 def _check_labels(p, labels):
-    counts = np.bincount(labels.labels, minlength=p.K + 1)[1:]
-    if labels.K != p.K or tuple(counts) != p.sizes:
+    """Labels must be n entries in 1..K with the declared community sizes."""
+    if (labels.size != p.n or labels.min() < 1
+            or tuple(np.bincount(labels, minlength=p.K + 1)[1:]) != p.sizes):
         raise ValueError("labels do not match the declared community sizes")
 
 
@@ -121,7 +120,7 @@ def sample_adjacency(p, labels, seed):
     _check_labels(p, labels)
     rng = as_rng(seed)
     n = p.n
-    lab0 = labels.labels - 1
+    lab0 = labels - 1
     theta = p.theta
     a_rows = p.A[:, lab0].ravel()  # a_rows[k * n + j] = A(k, k_j)
     # Rounding is monotone and every factor is nonnegative, so each
@@ -215,7 +214,7 @@ def permuted_theta(pattern, n, seed):
 
 def _community_matrix(p, labels):
     """Per-community theta norms, D = diag(norms / ||theta||) and D A D."""
-    norms = np.array([np.linalg.norm(p.theta[labels.labels == k + 1])
+    norms = np.array([np.linalg.norm(p.theta[labels == k + 1])
                       for k in range(p.K)])
     if norms.min() == 0:
         raise DegeneracyError("a community has zero total degree intensity")
@@ -239,7 +238,7 @@ def population_spectrum(p, labels):
     mu = mu[order]
     avec = avec[:, order]
 
-    lab0 = labels.labels - 1
+    lab0 = labels - 1
     eta = (avec[lab0, :] / comm_norms[lab0, None]) * p.theta[:, None]
     # largest-magnitude entry of each eta positive, a flipped to match
     signs = np.array([_lead_sign(eta[:, k]) for k in range(p.K)])

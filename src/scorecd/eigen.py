@@ -21,7 +21,7 @@ from .errors import NonConvergenceError
 
 DENSE_CUTOFF = 512
 DEFAULT_TOL = 1e-10
-DEFAULT_MAX_ITER = 50
+DEFAULT_MAX_ITER = 300
 
 
 @dataclass(frozen=True, eq=False)
@@ -97,7 +97,9 @@ def leading_eigs(op, K, seed=0):
     here; NonConvergenceError otherwise), and its largest-magnitude entry
     made positive.  The iterative path starts ARPACK from a seeded uniform
     random vector, so results are reproducible, and gives up after
-    DEFAULT_MAX_ITER restarts.  n <= DENSE_CUTOFF and K >= n - 1 go dense.
+    DEFAULT_MAX_ITER (300) restarts; ARPACK stops at convergence, so the cap
+    changes no solve that converges below it.  n <= DENSE_CUTOFF and
+    K >= n - 1 go dense.
     """
     tol, max_iter = DEFAULT_TOL, DEFAULT_MAX_ITER
     mat = _as_operator(op)

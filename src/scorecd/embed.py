@@ -26,12 +26,6 @@ class RatioMatrix:
     T_n: float
     truncated_count: int
 
-    def ratio_vector(self):
-        """The raw 1-D ratio vector (two-community fast path)."""
-        if self.R.shape[1] != 1:
-            raise ValueError("ratio_vector needs a two-community ratio matrix")
-        return self.R[:, 0]
-
 
 def score_ratio(spectrum, T_n=None):
     """Entrywise ratios of trailing leading eigenvectors over the first.

@@ -229,7 +229,7 @@ def _run_repetition(cfg, master, r, T_n, restarts, clustering, clock):
     params, truth = cfg.model(rng)
     g = dcbm.sample_adjacency(params, truth, rng)
     g0, keep = remove_isolated(g)
-    truth0 = truth.labels[keep]
+    truth0 = truth[keep]
     clock.lap("sample")
     spectrum = eigen.leading_eigs(g0, cfg.K, seed=derived_seed(master, r, "eigs"))
     clock.lap("eigs")
@@ -239,7 +239,7 @@ def _run_repetition(cfg, master, r, T_n, restarts, clustering, clock):
         knobs.update(clustering.get(pipeline.parse_method(m)[2], {}))
         res = pipeline.run_method(g0, spectrum, m, cfg.K, T_n=T_n,
                                   seed=derived_seed(master, r, m), **knobs)
-        ham = metrics.hamming_error(res.labeling.labels, truth0, cfg.K)
+        ham = metrics.hamming_error(res.labels, truth0, cfg.K)
         out[m] = (ham.mismatches, res.kmeans)
         clock.lap(m)
     return g0.n, out

@@ -10,8 +10,6 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from .cluster import Labeling
-
 
 @dataclass(frozen=True, eq=False)
 class HammingResult:
@@ -66,15 +64,13 @@ def _best_perm(conf):
 def hamming_error(estimated, truth, K):
     """Minimum mismatch count between two labelings over label permutations.
 
-    Both inputs are Labelings or integer vectors with labels in 1..K.  An
-    optimal assignment on the confusion matrix gives the minimum over all K!
+    Both inputs are integer vectors with labels in 1..K.  An optimal
+    assignment on the confusion matrix gives the minimum over all K!
     relabelings; on ties `best_perm` is the lexicographically first optimal
     one, the permutation an exhaustive search in lexicographic order keeps.
     """
-    est = estimated.labels if isinstance(estimated, Labeling) else np.asarray(estimated)
-    tru = truth.labels if isinstance(truth, Labeling) else np.asarray(truth)
-    est = est.astype(np.int64)
-    tru = tru.astype(np.int64)
+    est = np.asarray(estimated).astype(np.int64)
+    tru = np.asarray(truth).astype(np.int64)
     if est.shape != tru.shape:
         raise ValueError(f"length mismatch: {est.size} vs {tru.size}")
     n = est.size

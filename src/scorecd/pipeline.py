@@ -55,17 +55,17 @@ class StageClock:
 
 @dataclass(frozen=True, eq=False)
 class MethodResult:
-    labeling: cluster.Labeling
+    labels: np.ndarray  # int64, one label in 1..K per node
     method: str
     kmeans: cluster.KMeansResult = None
     ratio: embed.RatioMatrix = None
     threshold: float = None  # applied (or k-means-implied) ratio threshold
 
 
-def _implied_threshold(r, labeling):
+def _implied_threshold(r, labels):
     """Boundary between the two 1-D clusters a k-means run settled on."""
-    one = r[labeling.labels == 1]
-    two = r[labeling.labels == 2]
+    one = r[labels == 1]
+    two = r[labels == 2]
     if one.size == 0 or two.size == 0:
         return math.nan
     lo, hi = (two, one) if one.min() >= two.max() else (one, two)
@@ -87,8 +87,8 @@ def run_method(graph, spectrum, method, K, T_n=None, seed=0, restarts=None,
     if restarts is None:
         restarts = cluster.DEFAULT_RESTARTS
     if K == 1:
-        ones = cluster.Labeling(labels=np.ones(graph.n, dtype=np.int64), K=1)
-        return MethodResult(labeling=ones, method=canonical)
+        return MethodResult(labels=np.ones(graph.n, dtype=np.int64),
+                            method=canonical)
     if threshold is not None and not (kind == "score" and K == 2):
         raise ValueError("threshold classification needs method=score and K=2")
 
@@ -97,9 +97,8 @@ def run_method(graph, spectrum, method, K, T_n=None, seed=0, restarts=None,
         ratio = embed.score_ratio(spectrum, T_n=T_n)
         if threshold is not None:
             t = float(threshold)
-            return MethodResult(labeling=cluster.threshold_classify(
-                ratio.ratio_vector(), t), method=canonical, ratio=ratio,
-                threshold=t)
+            return MethodResult(labels=cluster.threshold_classify(ratio.R, t),
+                                method=canonical, ratio=ratio, threshold=t)
         points = ratio.R
     elif kind == "scoreq":
         points = embed.scoreq_embed(spectrum, q)
@@ -112,6 +111,6 @@ def run_method(graph, spectrum, method, K, T_n=None, seed=0, restarts=None,
     km = cluster.kmeans(points, K, restarts=restarts, seed=seed, init=init)
     implied = None
     if ratio is not None and K == 2:
-        implied = _implied_threshold(ratio.ratio_vector(), km.labeling)
-    return MethodResult(labeling=km.labeling, method=canonical, kmeans=km,
+        implied = _implied_threshold(ratio.R[:, 0], km.labels)
+    return MethodResult(labels=km.labels, method=canonical, kmeans=km,
                         ratio=ratio, threshold=implied)

@@ -26,7 +26,7 @@ def build_omega(p, labels):
     if p.n > DENSE_OMEGA_LIMIT:
         raise ValueError(f"dense expectation matrix limited to n <= "
                          f"{DENSE_OMEGA_LIMIT}, got {p.n}")
-    lab0 = labels.labels - 1
+    lab0 = labels - 1
     omega = np.outer(p.theta, p.theta) * p.A[np.ix_(lab0, lab0)]
     if omega.max() >= 1.0:
         raise ModelValidityError("edge probabilities reach 1; shrink theta or A")
@@ -73,7 +73,7 @@ def random_dcbm(rng, n_max=256, k_choices=(1, 2, 3, 4), eigengap_min=None):
         except DegeneracyError:
             continue
         if eigengap_min is not None:
-            comm = np.array([np.linalg.norm(theta[labels.labels == k + 1])
+            comm = np.array([np.linalg.norm(theta[labels == k + 1])
                              for k in range(K)])
             D = np.diag(comm / np.linalg.norm(theta))
             if K > 1 and dad_eigengap(D @ A @ D) < eigengap_min:

@@ -49,9 +49,9 @@ def test_criterion_1_karate_exactness(capsys):
     truth, _ = load_labels(label_file, g.original_ids)
     spectrum = leading_eigs(g, 2, seed=derived_seed(0, "eigs"))
     km = run_method(g, spectrum, "score", 2, seed=0)
-    km_err = hamming_error(km.labeling.labels, truth, 2).mismatches
+    km_err = hamming_error(km.labels, truth, 2).mismatches
     th = run_method(g, spectrum, "score", 2, threshold=0.0)
-    th_err = hamming_error(th.labeling.labels, truth, 2).mismatches
+    th_err = hamming_error(th.labels, truth, 2).mismatches
     elapsed = time.perf_counter() - t0
     ok = km_err == 1 and th_err == 1 and elapsed < 1.0
     announce(capsys, "criterion 1 (karate exactness)", ok,
@@ -85,16 +85,16 @@ def test_criterion_2_web_blogs(capsys):
 
     def errors(**kw):
         res = run_method(g, spectrum, "score", 2, seed=0, **kw)
-        return hamming_error(res.labeling.labels, truth, 2).mismatches
+        return hamming_error(res.labels, truth, 2).mismatches
 
     km = errors()
     t_zero = errors(threshold=0.0)
     t_ideal = errors(threshold=-0.6)
     opca = hamming_error(
-        run_method(g, spectrum, "opca", 2, seed=0).labeling.labels, truth,
+        run_method(g, spectrum, "opca", 2, seed=0).labels, truth,
         2).mismatches
     npca = hamming_error(
-        run_method(g, spectrum, "npca", 2, seed=0).labeling.labels, truth,
+        run_method(g, spectrum, "npca", 2, seed=0).labels, truth,
         2).mismatches
     elapsed = time.perf_counter() - t0
     ok = (size_ok and 55 <= km <= 62 and within(t_zero, 82, 2)
@@ -233,7 +233,7 @@ def test_criterion_8_noiseless_recovery(capsys, oracle_instances):
         spectrum = leading_eigs(build_omega(params, labels), params.K)
         rm = score_ratio(spectrum, T_n=math.inf)
         km = kmeans(rm.R, params.K, restarts=50, seed=11)
-        ham = hamming_error(km.labeling, labels, params.K)
+        ham = hamming_error(km.labels, labels, params.K)
         failures += ham.mismatches != 0
     ok = failures == 0 and tested > 0
     announce(capsys, "criterion 8 (noiseless exact recovery)", ok,
@@ -329,7 +329,7 @@ def test_criterion_9_property_suites(capsys, oracle_instances, monkeypatch):
         if params.K < 2:
             continue
         rm = population_ratio_matrix(population_spectrum(params, labels))
-        rows = rm.R[np.sort(np.unique(labels.labels, return_index=True)[1])]
+        rows = rm.R[np.sort(np.unique(labels, return_index=True)[1])]
         for i in range(params.K):
             for j in range(i + 1, params.K):
                 d = float(np.linalg.norm(rows[i] - rows[j]))

@@ -1,6 +1,7 @@
 import contextlib
 import gc
 import hashlib
+import importlib
 import io
 import json
 import math
@@ -10,6 +11,7 @@ import weakref
 from types import SimpleNamespace
 from unittest import mock
 
+import click
 import pytest
 from click.testing import CliRunner
 
@@ -19,6 +21,21 @@ from scorecd.cli import main
 
 def run(*args):
     return CliRunner().invoke(main, args, catch_exceptions=False)
+
+
+def test_console_script_is_the_click_group():
+    # pyproject's [project.scripts] entry, resolved as an installer would
+    tomllib = pytest.importorskip("tomllib")
+    pyproject = pathlib.Path(__file__).resolve().parents[1] / "pyproject.toml"
+    target = tomllib.loads(pyproject.read_text())["project"]["scripts"]
+    assert target == {"scorecd": "scorecd.cli:main"}
+    module, attr = target["scorecd"].split(":")
+    entry = getattr(importlib.import_module(module), attr)
+    assert entry is main and isinstance(entry, click.Group)
+    result = CliRunner().invoke(entry, ["detect", "--input", "builtin:karate",
+                                        "--k", "2", "--json"])
+    payload = json.loads(result.output)
+    assert len(payload["labels"]) == 34 and payload["mismatches"] == 1
 
 
 def test_detect_karate_kmeans():
@@ -305,6 +322,20 @@ def test_negative_seed_is_an_argument_error_naming_the_option(command):
     result = CliRunner().invoke(main, command + ["--seed", "-1"])
     assert result.exit_code == 2
     assert "Invalid value for '--seed': -1" in result.output
+
+
+@pytest.mark.parametrize("command", [
+    ["detect", "--input", "builtin:karate"],
+    ["spectra", "empirical", "--input", "builtin:karate"],
+    ["eval", "--estimated", "est.txt", "--truth", "est.txt"]])
+@pytest.mark.parametrize("k", ["0", "-1"])
+def test_k_below_one_is_an_argument_error_naming_the_option(
+        tmp_path, monkeypatch, command, k):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "est.txt").write_text("a 1\nb 2\n")
+    result = CliRunner().invoke(main, command + ["--k", k])
+    assert result.exit_code == 2
+    assert f"Invalid value for '--k': {k}" in result.output
 
 
 @pytest.mark.parametrize("command", [["experiment"],

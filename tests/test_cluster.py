@@ -26,7 +26,7 @@ def exhaustive_kmeans_cost(points, K):
 
 def test_two_well_separated_pairs():
     res = kmeans(np.array([0.0, 0.0, 10.0, 10.0]), K=2, restarts=10, seed=1)
-    assert np.array_equal(res.labeling.labels, [1, 1, 2, 2])
+    assert np.array_equal(res.labels, [1, 1, 2, 2])
     assert res.cost == 0.0
 
 
@@ -35,7 +35,7 @@ def test_k1_is_the_centroid():
     res = kmeans(pts, K=1, restarts=3, seed=0)
     assert np.allclose(res.centers[0], pts.mean(axis=0))
     assert res.cost == pytest.approx(np.sum((pts - pts.mean(axis=0)) ** 2))
-    assert set(res.labeling.labels) == {1}
+    assert set(res.labels) == {1}
 
 
 @pytest.mark.parametrize("trial", range(12))
@@ -52,7 +52,7 @@ def test_matches_exhaustive_optimum(trial):
 def test_cost_is_recomputable_and_trace_monotone(rng):
     pts = rng.standard_normal((200, 2))
     res = kmeans(pts, K=3, restarts=5, seed=9)
-    recomputed = np.sum((pts - res.centers[res.labeling.labels - 1]) ** 2)
+    recomputed = np.sum((pts - res.centers[res.labels - 1]) ** 2)
     assert res.cost == pytest.approx(recomputed, rel=1e-12)
     assert all(a >= b - 1e-12 for a, b in zip(res.trace, res.trace[1:]))
 
@@ -61,7 +61,7 @@ def test_seed_determinism(rng):
     pts = rng.standard_normal((50, 2))
     a = kmeans(pts, K=3, restarts=20, seed=42)
     b = kmeans(pts, K=3, restarts=20, seed=42)
-    assert np.array_equal(a.labeling.labels, b.labeling.labels)
+    assert np.array_equal(a.labels, b.labels)
     assert a.cost == b.cost
     assert np.array_equal(a.centers, b.centers)
 
@@ -69,8 +69,8 @@ def test_seed_determinism(rng):
 def test_labels_numbered_by_first_member(rng):
     pts = np.array([5.0, 5.1, 0.0, 0.1, 5.05])
     res = kmeans(pts, K=2, restarts=20, seed=0)
-    assert res.labeling.labels[0] == 1  # node 0's cluster is called 1
-    assert np.array_equal(res.labeling.labels, [1, 1, 2, 2, 1])
+    assert res.labels[0] == 1  # node 0's cluster is called 1
+    assert np.array_equal(res.labels, [1, 1, 2, 2, 1])
 
 
 def test_isometry_equivariance():
@@ -81,7 +81,7 @@ def test_isometry_equivariance():
     flipped = pts[:, ::-1] * np.array([1.0, -1.0]) + np.array([8.0, -3.0])
     a = kmeans(pts, K=3, restarts=15, seed=5)
     b = kmeans(flipped, K=3, restarts=15, seed=5)
-    assert np.array_equal(a.labeling.labels, b.labeling.labels)
+    assert np.array_equal(a.labels, b.labels)
     assert a.cost == pytest.approx(b.cost, rel=1e-12)
 
 
@@ -89,14 +89,14 @@ def test_duplicate_points_allow_empty_clusters():
     pts = np.array([0.0, 0.0, 0.0, 0.0, 10.0])
     res = kmeans(pts, K=3, restarts=10, seed=2)
     assert res.cost == 0.0
-    assert res.labeling.labels.max() <= 3
+    assert res.labels.max() <= 3
 
 
 def test_sample_init_runs_and_is_deterministic(rng):
     pts = rng.standard_normal((30, 2))
     a = kmeans(pts, K=3, restarts=1, seed=8, init="sample")
     b = kmeans(pts, K=3, restarts=1, seed=8, init="sample")
-    assert np.array_equal(a.labeling.labels, b.labeling.labels)
+    assert np.array_equal(a.labels, b.labels)
     assert a.cost == b.cost
     with pytest.raises(ValueError, match="sample"):
         kmeans(pts[:2], K=3, init="sample")
@@ -120,14 +120,14 @@ def test_overflowing_magnitudes_rejected(rng, init):
     # at 1e150 every squared distance and the cost stay finite
     res = kmeans(pts * 1e150, K=2, restarts=5, init=init)
     assert np.isfinite(res.cost)
-    assert set(res.labeling.labels) == {1, 2}
+    assert set(res.labels) == {1, 2}
 
 
 def test_threshold_classify():
     lab = threshold_classify(np.array([0.5, -0.2, 0.0, 2.0]), t=0.0)
-    assert np.array_equal(lab.labels, [1, 2, 2, 1])  # strict inequality
-    assert threshold_classify(np.array([1.0, 2.0]), t=0.5).labels.tolist() == [1, 1]
-    assert lab.K == 2
+    assert np.array_equal(lab, [1, 2, 2, 1])  # strict inequality
+    assert threshold_classify(np.array([1.0, 2.0]), t=0.5).tolist() == [1, 1]
+    assert lab.dtype == np.int64
 
 
 def best_cut_cost(x):
@@ -150,7 +150,7 @@ def test_exact_1d_split_is_the_best_cut(n, duplicates):
     if duplicates:
         x = np.round(x, 1)  # many ties
     res = kmeans(x, K=2, restarts=5, seed=3)
-    labels = res.labeling.labels
+    labels = res.labels
     assert res.cost == pytest.approx(best_cut_cost(x), rel=1e-12, abs=1e-12)
     recomputed = np.sum((x - res.centers[labels - 1, 0]) ** 2)
     assert res.cost == pytest.approx(recomputed, rel=1e-12, abs=1e-12)
@@ -165,7 +165,7 @@ def test_exact_1d_split_of_equal_values():
     for x in (np.full(6, 2.5), np.array([-1.0])):
         res = kmeans(x, K=2, seed=4)
         assert res.cost == 0.0
-        assert set(res.labeling.labels) == {1}
+        assert set(res.labels) == {1}
         assert res.restarts_used == 1 and res.trace == (0.0,)
 
 
@@ -184,7 +184,7 @@ def test_exact_1d_split_beats_best_of_restarts_lloyd():
                    seed=0)
     assert exact.cost == pytest.approx(26.98112115942029, rel=1e-12)
     assert lloyd.cost == pytest.approx(27.05445476923077, rel=1e-12)
-    assert np.sum(exact.labeling.labels != lloyd.labeling.labels) == 2
+    assert np.sum(exact.labels != lloyd.labels) == 2
 
 
 # labels, restarts_used, len(trace) and cost of k-means++ Lloyd with a cap
@@ -205,7 +205,7 @@ def test_lloyd_matches_recorded_runs(d):
     pts = centers[rng.integers(4, size=90)] + rng.standard_normal((90, d))
     res = kmeans(pts, K=3, restarts=20, seed=11)
     labels, used, iters, cost = LLOYD_GOLDEN[d]
-    assert "".join(map(str, res.labeling.labels)) == labels
+    assert "".join(map(str, res.labels)) == labels
     assert res.restarts_used == used
     assert len(res.trace) == iters
     assert res.cost == pytest.approx(cost, rel=1e-12)
@@ -303,7 +303,7 @@ def assert_matches_reference(points, K, restarts, seed, init):
     res = kmeans(points, K, restarts=restarts, seed=seed, init=init)
     labels, centers, cost, trace, used, at_best = _ref_kmeans(
         points, K, restarts, seed, init)
-    assert np.array_equal(res.labeling.labels, labels)
+    assert np.array_equal(res.labels, labels)
     assert np.array_equal(res.centers, centers)
     assert res.cost == cost
     assert res.trace == trace

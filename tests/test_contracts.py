@@ -76,9 +76,8 @@ def assert_contract(g, K, seed):
             result = run_method(g0, spectrum, method, K, seed=seed)
         except (DataError, NumericalError):
             continue
-        labels = result.labeling.labels
+        labels = result.labels
         assert labels.shape == (g0.n,), method
-        assert result.labeling.K == K, method
         assert labels.min() >= 1 and labels.max() <= K, method
 
 

@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from scorecd import dcbm, leading_eigs
-from scorecd.cluster import Labeling
 from scorecd.dcbm import (DCBMParams, ThetaPattern, block_labels, diagnostics,
                           permuted_theta, population_ratio_matrix,
                           population_spectrum, sample_adjacency)
@@ -54,6 +53,27 @@ def test_model_validity_checks():
                    theta=np.full(4, 0.2), sizes=(2, 2))
     with pytest.raises(ModelValidityError, match=r"\(0, 1\)"):
         DCBMParams(K=1, A=np.array([[1.0]]), theta=np.full(4, 1.0), sizes=(4,))
+
+
+@pytest.mark.parametrize("labels", [
+    [],                        # empty
+    [1, 1, 1, 2, 2],           # too short
+    [0, 1, 1, 1, 2, 2, 2],     # too long; its 1s and 2s alone fit the sizes
+    [0, 1, 1, 2, 2, 2],        # a 0
+    [-1, 1, 1, 2, 2, 2],       # a negative label
+    [1, 1, 1, 2, 2, 3],        # K + 1
+    [1, 1, 2, 2, 2, 2],        # labels in 1..K, wrong community sizes
+], ids=["empty", "short", "long", "zero", "negative", "K+1", "sizes"])
+@pytest.mark.parametrize("call", [
+    lambda p, labels: sample_adjacency(p, labels, 0),
+    population_spectrum, diagnostics],
+    ids=["sample_adjacency", "population_spectrum", "diagnostics"])
+def test_labels_must_match_the_declared_community_sizes(call, labels):
+    params = DCBMParams(K=2, A=[[1.0, 0.5], [0.5, 1.0]],
+                        theta=np.linspace(0.1, 0.6, 6), sizes=(3, 3))
+    call(params, block_labels(params.sizes))  # the block labels fit
+    with pytest.raises(ValueError, match="declared community sizes"):
+        call(params, np.array(labels, dtype=np.int64))
 
 
 def test_sample_empty_when_offdiagonal_rates_vanish(rng):
@@ -112,7 +132,7 @@ def test_sample_golden_digest_k3():
 def row_loop_sample(p, labels, rng):
     """Reference sampler: one rng.random call per upper-triangle row."""
     n = p.n
-    lab0 = labels.labels - 1
+    lab0 = labels - 1
     theta = p.theta
     a_rows = p.A[:, lab0]  # a_rows[k, j] = A[k, lab0[j]]
     counts, cols = [], []
@@ -180,7 +200,7 @@ def test_sample_matches_row_loop_on_edge_shapes(rng):
         params, labels = random_dcbm(rng, n_max=120)
         assert_same_draw(params, labels, int(rng.integers(1 << 30)))
         # labels need not come in contiguous blocks
-        shuffled = Labeling(labels=rng.permutation(labels.labels), K=labels.K)
+        shuffled = rng.permutation(labels)
         assert_same_draw(params, shuffled, int(rng.integers(1 << 30)))
 
 
@@ -260,8 +280,8 @@ def test_population_spectrum_two_communities_closed_form(rng):
         params, labels = random_dcbm(rng, n_max=60, k_choices=(2,))
         ps = population_spectrum(params, labels)
         t = params.theta
-        d1 = np.linalg.norm(t[labels.labels == 1]) / np.linalg.norm(t)
-        d2 = np.linalg.norm(t[labels.labels == 2]) / np.linalg.norm(t)
+        d1 = np.linalg.norm(t[labels == 1]) / np.linalg.norm(t)
+        d2 = np.linalg.norm(t[labels == 2]) / np.linalg.norm(t)
         lam_p, lam_m = closed_form_two_community(
             params.A[0, 0], params.A[0, 1], params.A[1, 1], d1, d2, t @ t)
         expected = sorted([lam_p, lam_m], key=abs, reverse=True)
@@ -293,7 +313,7 @@ def test_population_spectrum_matches_dense_oracle(rng):
         scaled = ps.eta_vectors / params.theta[:, None]
         for k in range(params.K):
             for comm in range(1, params.K + 1):
-                col = scaled[labels.labels == comm, k]
+                col = scaled[labels == comm, k]
                 assert np.abs(col - col[0]).max() < 1e-10
 
 
@@ -333,8 +353,8 @@ def test_r0_matches_population_eigenvector_ratio(rng):
         except DegeneracyError:
             continue
         ratio = ps.eta_vectors[:, 1] / ps.eta_vectors[:, 0]
-        r_comm1 = ratio[labels.labels == 1][0]
-        r_comm2 = ratio[labels.labels == 2][0]
+        r_comm1 = ratio[labels == 1][0]
+        r_comm2 = ratio[labels == 2][0]
         d1, d2 = np.diag(ps.D)
         r0 = r0_vector(a, b, c, d1, d2)
         assert r_comm2 / r_comm1 == pytest.approx(r0[1], rel=1e-8)
@@ -357,7 +377,7 @@ def test_population_ratio_matrix_rows(rng):
         rm = population_ratio_matrix(ps)
         expected = ps.a_vectors[:, 1:] / ps.a_vectors[:, [0]]
         for comm in range(params.K):
-            rows = rm.R[labels.labels == comm + 1]
+            rows = rm.R[labels == comm + 1]
             assert np.allclose(rows, expected[comm], atol=1e-9)
         for i in range(params.K):
             for j in range(i + 1, params.K):

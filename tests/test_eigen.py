@@ -45,8 +45,8 @@ def test_two_community_expectation_matches_closed_form(rng):
         labels = block_labels(params.sizes)
         omega = build_omega(params, labels)
         spec = leading_eigs(omega, K=2)
-        t1 = np.linalg.norm(theta[labels.labels == 1])
-        t2 = np.linalg.norm(theta[labels.labels == 2])
+        t1 = np.linalg.norm(theta[labels == 1])
+        t2 = np.linalg.norm(theta[labels == 2])
         tn = np.linalg.norm(theta)
         lam_plus, lam_minus = closed_form_two_community(
             A[0, 0], A[0, 1], A[1, 1], t1 / tn, t2 / tn, tn ** 2)
@@ -130,6 +130,22 @@ def test_arpack_restart_budget_is_reported(monkeypatch):
     with pytest.raises(NonConvergenceError, match="within 1 restarts") as err:
         leading_eigs(g, K=2)
     assert err.value.residuals.shape == (2,)
+
+
+def test_restart_cap_converges_a_weak_signal_k8_graph(monkeypatch):
+    # weak-signal DCBM: K = 8, n = 6000, A = 0.85 + 0.15 I, theta ~
+    # U(0.02, 0.3), theta and graph drawn from one generator
+    rng = np.random.default_rng(2)
+    n, K = 6000, 8
+    params = DCBMParams(K=K, A=0.85 + 0.15 * np.eye(K),
+                        theta=rng.uniform(0.02, 0.3, n), sizes=(n // K,) * K)
+    g, _ = giant_component(
+        sample_adjacency(params, block_labels(params.sizes), rng))
+    leading_eigs(g, 8, seed=0)  # converges, or raises, under the default cap
+    # ... but needs more than the 50 restarts of the earlier cap
+    monkeypatch.setattr(eigen, "DEFAULT_MAX_ITER", 50)
+    with pytest.raises(NonConvergenceError, match="within 50 restarts"):
+        leading_eigs(g, 8, seed=0)
 
 
 def test_lanczos_handles_disconnected_blocks(monkeypatch):

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from scorecd import Labeling, hamming_error
+from scorecd import hamming_error
 from scorecd.metrics import summarize
 
 
@@ -19,7 +19,7 @@ def oracle_hamming(est, tru, K):
 
 
 def test_identical_labelings():
-    lab = Labeling(labels=np.array([1, 2, 1, 2]), K=2)
+    lab = np.array([1, 2, 1, 2])
     res = hamming_error(lab, lab, K=2)
     assert res.mismatches == 0
     assert res.rate == 0.0
