@@ -17,8 +17,8 @@ import sys
 import click
 import numpy as np
 
-from . import (cluster, datasets, dcbm, eigen, experiments, graph, metrics,
-               pipeline)
+from . import (__version__, cluster, datasets, dcbm, eigen, experiments, graph,
+               metrics, pipeline)
 from .errors import DataError, NumericalError
 from .seeding import derived_seed
 
@@ -143,7 +143,7 @@ _restarts_option = click.option(
 
 
 @click.group()
-@click.version_option(package_name="scorecd")
+@click.version_option(version=__version__)
 def main():
     """Community detection on eigenvector ratios, with spectral baselines."""
 
@@ -253,10 +253,9 @@ def experiment(preset, config_path, reps, seed, tn, restarts,
     """Run a simulation preset (1, 2a-2d, 3, 4a-4c) or a custom config."""
     cfg = _load_config(preset, config_path)
     tick = (lambda r: _warn(".", end="")) if progress else None
-    clustering = {"npca": {}} if uniform_clustering else None
-    report = experiments.run_experiment(cfg, seed=seed, reps=reps, T_n=tn,
-                                        restarts=restarts,
-                                        progress=tick, clustering=clustering)
+    report = experiments.run_experiment(
+        cfg, seed=seed, reps=reps, T_n=tn, restarts=restarts, progress=tick,
+        uniform_clustering=uniform_clustering)
     if progress:
         _warn("")
     if as_csv:
@@ -279,17 +278,18 @@ def _spectra_rows(what, input_spec, preset, config_path, k, seed):
         return [{"k": i + 1, "lambda": p.value, "residual": p.residual}
                 for i, p in enumerate(spectrum.pairs)], {"n0": g0.n}
     cfg = _load_config(preset, config_path)
-    params, truth = cfg.model(cfg.seed if seed is None else seed)
+    params = cfg.model(np.random.default_rng(cfg.seed if seed is None
+                                             else seed))
     if what == "population":
-        ps = dcbm.population_spectrum(params, truth)
-        dists = dcbm.population_ratio_matrix(ps) if cfg.K >= 2 else None
+        ps = dcbm.population_spectrum(params)
+        R = dcbm.population_ratio_matrix(ps) if cfg.K >= 2 else None
         rows = [{"k": i + 1, "lambda": lam,
                  "dad_eigenvalue": lam / float(params.theta @ params.theta)}
                 for i, lam in enumerate(ps.lambdas)]
         extra = {"ratio_rows_min_distance":
-                 None if dists is None else _min_row_distance(dists.R)}
+                 None if R is None else _min_row_distance(R)}
         return rows, extra
-    diag = dcbm.diagnostics(params, truth)
+    diag = dcbm.diagnostics(params)
     rows = [{"quantity": name, "value": getattr(diag, name)}
             for name in ("eigengap", "err_n", "osnr", "nsnr", "wnorm_bound",
                          "osc", "regularity_ratio", "mdv_ok", "mdm_ok")]

@@ -5,7 +5,8 @@ k and j in community l, with A normalized to max entry 1 and all theta in
 (0, 1).  The expectation matrix has exactly K nonzero eigenvalues, obtainable
 from the K x K problem on D A D where D holds the per-community overall degree
 intensities; those closed forms drive the verification oracles, the population
-ratio matrix, and the signal-to-noise diagnostics.
+ratio matrix, and the signal-to-noise diagnostics.  DCBMParams is the whole
+model: A, theta and the node labels every function here reads.
 """
 
 import math
@@ -14,10 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .eigen import _lead_sign, _magnitude_order
-from .embed import RatioMatrix
 from .errors import DegeneracyError, ModelValidityError
 from .graph import from_edges
-from .seeding import as_rng
 
 DAD_GAP_TOL = 1e-12
 _BLOCK_ENTRIES = 1 << 16  # sample_adjacency draws about this many at once
@@ -25,37 +24,45 @@ _BLOCK_ENTRIES = 1 << 16  # sample_adjacency draws about this many at once
 
 @dataclass(frozen=True, eq=False)
 class DCBMParams:
-    """Model parameters: block matrix A, degree weights theta, community sizes."""
+    """Model parameters: block matrix A, degree weights theta, node labels."""
 
-    K: int
     A: np.ndarray
     theta: np.ndarray
-    sizes: tuple
+    labels: np.ndarray
 
     def __post_init__(self):
         A = np.asarray(self.A, dtype=float)
         theta = np.asarray(self.theta, dtype=float)
-        sizes = tuple(int(s) for s in self.sizes)
+        given = np.asarray(self.labels)
+        labels = given.astype(np.int64)
         object.__setattr__(self, "A", A)
         object.__setattr__(self, "theta", theta)
-        object.__setattr__(self, "sizes", sizes)
-        if A.shape != (self.K, self.K):
-            raise ModelValidityError(f"A must be {self.K}x{self.K}, got {A.shape}")
+        object.__setattr__(self, "labels", labels)
+        if A.ndim != 2 or A.shape[0] != A.shape[1] or A.size == 0:
+            raise ModelValidityError(f"A must be square, got shape {A.shape}")
         if not np.allclose(A, A.T, atol=1e-12):
             raise ModelValidityError("A must be symmetric")
         if A.min() < 0:
             raise ModelValidityError("A must be nonnegative")
         if abs(A.max() - 1.0) > 1e-9:
             raise ModelValidityError(f"max entry of A must be 1, got {A.max():g}")
-        if len(sizes) != self.K or any(s < 1 for s in sizes):
-            raise ModelValidityError(f"need {self.K} positive community sizes")
-        if theta.size != sum(sizes):
+        if labels.shape != theta.shape or theta.ndim != 1:
+            raise ModelValidityError(f"need one label per theta entry, got "
+                                     f"{labels.size} for {theta.size}")
+        if np.any((labels < 1) | (labels > self.K) | (labels != given)):
+            raise ModelValidityError(f"labels must be integers in 1..{self.K}")
+        sizes = np.bincount(labels, minlength=self.K + 1)[1:]
+        if sizes.min() == 0:
             raise ModelValidityError(
-                f"theta has {theta.size} entries but sizes sum to {sum(sizes)}")
-        if theta.min() <= 0 or theta.max() >= 1:
+                f"community {sizes.argmin() + 1} has no member")
+        if not (theta.min() > 0 and theta.max() < 1):  # nan fails too
             raise ModelValidityError(
                 f"theta must lie strictly inside (0, 1); range is "
                 f"[{theta.min():g}, {theta.max():g}]")
+
+    @property
+    def K(self):
+        return self.A.shape[0]
 
     @property
     def n(self):
@@ -100,27 +107,18 @@ def block_labels(sizes):
     return np.repeat(np.arange(1, len(sizes) + 1), sizes)
 
 
-def _check_labels(p, labels):
-    """Labels must be n entries in 1..K with the declared community sizes."""
-    if (labels.size != p.n or labels.min() < 1
-            or tuple(np.bincount(labels, minlength=p.K + 1)[1:]) != p.sizes):
-        raise ValueError("labels do not match the declared community sizes")
-
-
-def sample_adjacency(p, labels, seed):
+def sample_adjacency(p, rng):
     """Draw one graph: independent Bernoulli(O(i,j)) upper-triangle entries.
 
     Pair (i, j), i < j, is an edge when its uniform u < (theta_i * theta_j)
-    * A(k_i, k_j), with one uniform per pair drawn in row-major order, so
-    the graph and the generator's final state are fixed by the seed.  The
-    uniforms come in blocks of about _BLOCK_ENTRIES pairs (whole rows), and
-    the probability is computed only where u falls under its row's bound,
-    so the expectation matrix is never materialized.
+    * A(k_i, k_j), with one uniform per pair drawn in row-major order from
+    the Generator `rng`, so its state fixes the graph and its final state.
+    The uniforms come in blocks of about _BLOCK_ENTRIES pairs (whole rows),
+    and the probability is computed only where u falls under its row's
+    bound, so the expectation matrix is never materialized.
     """
-    _check_labels(p, labels)
-    rng = as_rng(seed)
     n = p.n
-    lab0 = labels - 1
+    lab0 = p.labels - 1
     theta = p.theta
     a_rows = p.A[:, lab0].ravel()  # a_rows[k * n + j] = A(k, k_j)
     # Rounding is monotone and every factor is nonnegative, so each
@@ -195,7 +193,7 @@ class ThetaPattern:
             tilde = pp["a"] + pp["b"] * (i / n) ** 2
         else:  # two_point
             tilde = np.where(i <= n // 2, pp["c0"], pp["d0"])
-        if tilde.min() <= 0 or tilde.max() >= 1:
+        if not (tilde.min() > 0 and tilde.max() < 1):  # nan fails too
             raise ModelValidityError(
                 f"theta pattern {self.describe()} leaves (0, 1): range "
                 f"[{tilde.min():g}, {tilde.max():g}]")
@@ -206,15 +204,15 @@ class ThetaPattern:
         return f"{self.kind} {inner}"
 
 
-def permuted_theta(pattern, n, seed):
-    """Generate the pattern's vector and randomly permute its coordinates."""
-    rng = as_rng(seed)
+def permuted_theta(pattern, n, rng):
+    """Generate the pattern's vector and permute its coordinates with the
+    Generator `rng`."""
     return rng.permutation(pattern.generate(n))
 
 
-def _community_matrix(p, labels):
+def _community_matrix(p):
     """Per-community theta norms, D = diag(norms / ||theta||) and D A D."""
-    norms = np.array([np.linalg.norm(p.theta[labels == k + 1])
+    norms = np.array([np.linalg.norm(p.theta[p.labels == k + 1])
                       for k in range(p.K)])
     if norms.min() == 0:
         raise DegeneracyError("a community has zero total degree intensity")
@@ -222,13 +220,12 @@ def _community_matrix(p, labels):
     return norms, D, D @ p.A @ D
 
 
-def population_spectrum(p, labels):
+def population_spectrum(p):
     """Closed-form eigenpairs of the expectation matrix via the K x K problem.
 
     Requires the eigenvalues of D A D to be simple (adjacent gap above 1e-12).
     """
-    _check_labels(p, labels)
-    comm_norms, D, dad = _community_matrix(p, labels)
+    comm_norms, D, dad = _community_matrix(p)
     mu, avec = np.linalg.eigh(dad)
     if p.K > 1 and np.min(np.diff(np.sort(mu))) < DAD_GAP_TOL:
         raise DegeneracyError(
@@ -238,7 +235,7 @@ def population_spectrum(p, labels):
     mu = mu[order]
     avec = avec[:, order]
 
-    lab0 = labels - 1
+    lab0 = p.labels - 1
     eta = (avec[lab0, :] / comm_norms[lab0, None]) * p.theta[:, None]
     # largest-magnitude entry of each eta positive, a flipped to match
     signs = np.array([_lead_sign(eta[:, k]) for k in range(p.K)])
@@ -248,7 +245,7 @@ def population_spectrum(p, labels):
 
 
 def population_ratio_matrix(ps):
-    """Noise-free ratio matrix R(i,k) = eta_{k+1}(i) / eta_1(i).
+    """Noise-free n x (K-1) ratio matrix R(i,k) = eta_{k+1}(i) / eta_1(i).
 
     Has exactly K distinct rows (the k-th trailing entry on community l is
     a_{k+1}(l)/a_1(l)) and any two distinct rows are at distance >= sqrt(2).
@@ -257,8 +254,7 @@ def population_ratio_matrix(ps):
     lead = eta[:, 0]
     if np.any(lead == 0.0):
         raise DegeneracyError("population leading eigenvector has zero entries")
-    R = eta[:, 1:] / lead[:, None]
-    return RatioMatrix(R=R, T_n=math.inf, truncated_count=0)
+    return eta[:, 1:] / lead[:, None]
 
 
 def dad_eigengap(dad):
@@ -269,13 +265,12 @@ def dad_eigengap(dad):
     return float(np.min(np.diff(mu)))
 
 
-def diagnostics(p, labels):
+def diagnostics(p):
     """Evaluate the closed-form error and signal-to-noise quantities.
 
     The moderate-deviation flags use unit constants and are informational;
     nothing in the pipeline gates on them.
     """
-    _check_labels(p, labels)
     theta = p.theta
     n = p.n
     logn = math.log(n)
@@ -286,7 +281,7 @@ def diagnostics(p, labels):
     tmin = float(theta.min())
     tmax = float(theta.max())
 
-    comm_norms, _, dad = _community_matrix(p, labels)
+    comm_norms, _, dad = _community_matrix(p)
     gap = dad_eigengap(dad)
 
     err_n = (cube3 / sq ** 3) * (inv_sum + (logn / tmin) * (l1 / sq) ** 2)

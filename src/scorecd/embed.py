@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import eigen
-from .errors import DegeneracyError
+from .errors import DegeneracyError, NumericalError
 
 TINY_DENOMINATOR = 1e-300
 
@@ -76,14 +76,21 @@ def scoreq_embed(spectrum, q):
     """n x K array: the eigenvector matrix's rows rescaled to unit l^q norm.
 
     Scaling-invariant by construction: multiplying a row by any a > 0 leaves
-    the output row unchanged.  All-zero rows map to zero.
+    the output row unchanged.  All-zero rows map to zero; a nonzero row whose
+    norm rounds to 0 or inf (q far from 1-2) is a NumericalError.
     """
-    if q <= 0:
-        raise ValueError(f"q must be positive, got {q}")
+    if not 0 < q < math.inf:
+        raise ValueError(f"q must be finite and positive, got {q}")
     if len(spectrum) < 2:
         raise ValueError(f"need at least 2 eigenpairs, got {len(spectrum)}")
     xi = spectrum.vectors
-    norms = np.sum(np.abs(xi) ** q, axis=1) ** (1.0 / q)
+    with np.errstate(over="ignore"):  # an overflow is reported below
+        norms = np.sum(np.abs(xi) ** q, axis=1) ** (1.0 / q)
+    lost = np.count_nonzero(xi[(norms == 0.0) | (norms == np.inf)].any(axis=1))
+    if lost:
+        raise NumericalError(
+            f"the l^{q:g} norm of {lost} nonzero eigenvector rows is 0 or inf "
+            "in floating point; pick a q nearer 1-2")
     return np.divide(xi, norms[:, None], out=np.zeros_like(xi),
                      where=norms[:, None] != 0.0)
 

@@ -2,7 +2,7 @@
 
 Each experiment repetition permutes the degree-weight pattern, samples one
 graph, strips isolated nodes, runs every requested method on the survivor
-graph, and scores it against the true labels restricted to the survivors.
+graph, and scores it against the model's labels restricted to the survivors.
 Repetition r draws its randomness from (master seed, r) and each method's
 k-means stream from (master seed, r, method), so all methods within a
 repetition see the identical graph and any repetition range reproduces
@@ -40,17 +40,16 @@ class ExperimentConfig:
             raise ValueError(f"reps must be >= 1, got {self.rep} (key 'rep')")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
+        if len(self.A) != self.K or any(len(row) != self.K for row in self.A):
+            raise ValueError(f"A must be {self.K}x{self.K}, got rows of "
+                             f"lengths {[len(row) for row in self.A]}")
 
-    def block_sizes(self):
-        return (self.n // self.K,) * self.K
-
-    def model(self, seed):
-        """(DCBMParams, true block labels); `seed`, an int or a Generator,
+    def model(self, rng):
+        """DCBMParams with K equal contiguous blocks; the Generator `rng`
         permutes the theta pattern."""
-        sizes = self.block_sizes()
-        theta = dcbm.permuted_theta(self.theta, self.n, seed)
-        params = dcbm.DCBMParams(K=self.K, A=self.A, theta=theta, sizes=sizes)
-        return params, dcbm.block_labels(sizes)
+        theta = dcbm.permuted_theta(self.theta, self.n, rng)
+        labels = dcbm.block_labels((self.n // self.K,) * self.K)
+        return dcbm.DCBMParams(A=self.A, theta=theta, labels=labels)
 
 
 def _cfg(id, n, K, rep, A, theta, methods):
@@ -73,9 +72,8 @@ def _pattern(kind, **params):
 # on a few low-degree nodes, and the multi-restart optimizer reliably isolates
 # those nodes (merging two communities), reporting a higher error than this
 # baseline is conventionally credited with.  Every other method uses the
-# deterministic multi-restart optimizer.  Override per method via
-# run_experiment(clustering=...), e.g. {"npca": {}} to force the strong
-# optimizer everywhere.
+# deterministic multi-restart optimizer.  The uniform_clustering flag of
+# run_experiment drops these overrides, so every method uses that optimizer.
 CLUSTERING_DEFAULTS = {"npca": {"restarts": 1, "init": "sample"}}
 
 PRESETS = {
@@ -226,10 +224,10 @@ class RunReport:
 def _run_repetition(cfg, master, r, T_n, restarts, clustering, clock):
     """Survivor count and, per method, (mismatches, KMeansResult or None)."""
     rng = np.random.default_rng(np.random.SeedSequence([master, r]))
-    params, truth = cfg.model(rng)
-    g = dcbm.sample_adjacency(params, truth, rng)
+    params = cfg.model(rng)
+    g = dcbm.sample_adjacency(params, rng)
     g0, keep = remove_isolated(g)
-    truth0 = truth[keep]
+    truth0 = params.labels[keep]
     clock.lap("sample")
     spectrum = eigen.leading_eigs(g0, cfg.K, seed=derived_seed(master, r, "eigs"))
     clock.lap("eigs")
@@ -246,20 +244,20 @@ def _run_repetition(cfg, master, r, T_n, restarts, clustering, clock):
 
 
 def run_experiment(cfg, seed=None, reps=None, T_n=math.inf,
-                   restarts=None, progress=None, clustering=None):
+                   restarts=None, progress=None, uniform_clustering=False):
     """Run an experiment config; returns the aggregated RunReport.
 
     The ratio truncation is off by default (T_n = inf), matching how the
-    simulations are scored; pass a finite T_n to re-enable it.  `clustering`
-    maps canonical method names to kmeans keyword overrides, layered over
-    CLUSTERING_DEFAULTS.
+    simulations are scored; pass a finite T_n to re-enable it.  Methods are
+    clustered with the CLUSTERING_DEFAULTS overrides, or all alike with the
+    multi-restart optimizer under `uniform_clustering`.
     """
     master = cfg.seed if seed is None else int(seed)
     n_reps = cfg.rep if reps is None else int(reps)
     if n_reps < 1:
         raise ValueError(f"reps must be >= 1, got {n_reps}")
-    policy = dict(CLUSTERING_DEFAULTS)
-    policy.update(clustering or {})
+    policy = ({m: {} for m in CLUSTERING_DEFAULTS} if uniform_clustering
+              else dict(CLUSTERING_DEFAULTS))
 
     clock = pipeline.StageClock()
     n0, outcomes = [], []

@@ -23,8 +23,8 @@ def parse_method(spec_str):
         return "scoreq", float(s[-1]), s
     if s.startswith("scoreq:"):
         q = float(s.split(":", 1)[1])
-        if q <= 0:
-            raise ValueError(f"q must be positive, got {q:g}")
+        if not 0 < q < math.inf:
+            raise ValueError(f"q must be finite and positive, got {q:g}")
         if q == 1.0:
             return "scoreq", 1.0, "score1"
         if q == 2.0:

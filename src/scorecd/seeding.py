@@ -5,13 +5,6 @@ import zlib
 import numpy as np
 
 
-def as_rng(seed):
-    """Pass through a Generator, or build one from an int/SeedSequence."""
-    if isinstance(seed, np.random.Generator):
-        return seed
-    return np.random.default_rng(seed)
-
-
 def derived_seed(*parts):
     """Mix ints and strings into one well-spread integer seed."""
     entropy = [zlib.crc32(p.encode()) if isinstance(p, str) else int(p)

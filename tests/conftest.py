@@ -12,21 +12,20 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from scorecd.dcbm import (DCBMParams, _check_labels, block_labels,
-                          dad_eigengap, population_spectrum)
+from scorecd.dcbm import (DCBMParams, block_labels, dad_eigengap,
+                          population_spectrum)
 from scorecd.errors import DegeneracyError, ModelValidityError
 
 GEN_DETECT = Path(__file__).resolve().parents[1] / "scorebench/gen_detect.py"
 DENSE_OMEGA_LIMIT = 4096
 
 
-def build_omega(p, labels):
+def build_omega(p):
     """Dense expectation matrix O(i,j) = theta(i) theta(j) A(k(i), k(j))."""
-    _check_labels(p, labels)
     if p.n > DENSE_OMEGA_LIMIT:
         raise ValueError(f"dense expectation matrix limited to n <= "
                          f"{DENSE_OMEGA_LIMIT}, got {p.n}")
-    lab0 = labels - 1
+    lab0 = p.labels - 1
     omega = np.outer(p.theta, p.theta) * p.A[np.ix_(lab0, lab0)]
     if omega.max() >= 1.0:
         raise ModelValidityError("edge probabilities reach 1; shrink theta or A")
@@ -51,7 +50,7 @@ def r0_vector(a, b, c, d1, d2):
 
 
 def random_dcbm(rng, n_max=256, k_choices=(1, 2, 3, 4), eigengap_min=None):
-    """One random admissible model instance (params, labels).
+    """One random admissible model instance, as DCBMParams.
 
     A is symmetric nonnegative with max entry 1, sizes are uneven, theta is
     log-uniform-ish in (0.05, 0.95).  Instances whose community-level matrix
@@ -66,10 +65,10 @@ def random_dcbm(rng, n_max=256, k_choices=(1, 2, 3, 4), eigengap_min=None):
         A = np.triu(A) + np.triu(A, 1).T
         A = A / A.max()
         theta = rng.uniform(0.05, 0.95, size=n)
-        params = DCBMParams(K=K, A=A, theta=theta, sizes=tuple(int(s) for s in sizes))
-        labels = block_labels(params.sizes)
+        labels = block_labels(sizes)
+        params = DCBMParams(A=A, theta=theta, labels=labels)
         try:
-            population_spectrum(params, labels)
+            population_spectrum(params)
         except DegeneracyError:
             continue
         if eigengap_min is not None:
@@ -78,7 +77,7 @@ def random_dcbm(rng, n_max=256, k_choices=(1, 2, 3, 4), eigengap_min=None):
             D = np.diag(comm / np.linalg.norm(theta))
             if K > 1 and dad_eigengap(D @ A @ D) < eigengap_min:
                 continue
-        return params, labels
+        return params
     raise RuntimeError("could not draw a non-degenerate model instance")
 
 

@@ -201,9 +201,9 @@ def oracle_instances():
 
 def test_criterion_7_population_oracle(capsys, oracle_instances):
     worst_val, worst_vec = 0.0, 0.0
-    for params, labels in oracle_instances:
-        ps = population_spectrum(params, labels)
-        omega = build_omega(params, labels)
+    for params in oracle_instances:
+        ps = population_spectrum(params)
+        omega = build_omega(params)
         vals, vecs = np.linalg.eigh(omega)
         order = sorted(range(len(vals)),
                        key=lambda i: (-abs(vals[i]), vals[i] < 0))[:params.K]
@@ -223,17 +223,17 @@ def test_criterion_7_population_oracle(capsys, oracle_instances):
 
 def test_criterion_8_noiseless_recovery(capsys, oracle_instances):
     tested, failures = 0, 0
-    for params, labels in oracle_instances:
-        ps = population_spectrum(params, labels)
+    for params in oracle_instances:
+        ps = population_spectrum(params)
         if params.K > 1 and dcbm_mod.dad_eigengap(ps.dad) < 0.05:
             continue
         tested += 1
         if params.K == 1:
             continue  # single community is recovered trivially
-        spectrum = leading_eigs(build_omega(params, labels), params.K)
+        spectrum = leading_eigs(build_omega(params), params.K)
         rm = score_ratio(spectrum, T_n=math.inf)
         km = kmeans(rm.R, params.K, restarts=50, seed=11)
-        ham = hamming_error(km.labels, labels, params.K)
+        ham = hamming_error(km.labels, params.labels, params.K)
         failures += ham.mismatches != 0
     ok = failures == 0 and tested > 0
     announce(capsys, "criterion 8 (noiseless exact recovery)", ok,
@@ -312,8 +312,8 @@ def test_criterion_9_property_suites(capsys, oracle_instances, monkeypatch):
     prng = np.random.default_rng(31)
     done = 0
     while done < 100:
-        params, labels = random_dcbm(prng, n_max=128, k_choices=(1, 2, 3))
-        g = sample_adjacency(params, labels, prng)
+        params = random_dcbm(prng, n_max=128, k_choices=(1, 2, 3))
+        g = sample_adjacency(params, prng)
         giant, _ = giant_component(g)
         if giant.num_edges == 0:  # a lone node is not a graph with structure
             continue
@@ -325,11 +325,11 @@ def test_criterion_9_property_suites(capsys, oracle_instances, monkeypatch):
     # distinct rows of the noise-free ratio matrix stay sqrt(2) apart
     dist_ok = True
     min_dist = np.inf
-    for params, labels in oracle_instances:
+    for params in oracle_instances:
         if params.K < 2:
             continue
-        rm = population_ratio_matrix(population_spectrum(params, labels))
-        rows = rm.R[np.sort(np.unique(labels, return_index=True)[1])]
+        R = population_ratio_matrix(population_spectrum(params))
+        rows = R[np.sort(np.unique(params.labels, return_index=True)[1])]
         for i in range(params.K):
             for j in range(i + 1, params.K):
                 d = float(np.linalg.norm(rows[i] - rows[j]))
@@ -339,16 +339,15 @@ def test_criterion_9_property_suites(capsys, oracle_instances, monkeypatch):
 
     # sampled noise norm respects the 4 sqrt(log n theta_max |theta|_1) bound
     preset = PRESETS["1"]
-    sizes = preset.block_sizes()
-    theta = preset.theta.generate(preset.n)
-    params = dcbm_mod.DCBMParams(K=2, A=preset.A, theta=theta, sizes=sizes)
-    labels = block_labels(sizes)
-    omega = build_omega(params, labels)
-    bound = diagnostics(params, labels).wnorm_bound
+    params = dcbm_mod.DCBMParams(
+        A=preset.A, theta=preset.theta.generate(preset.n),
+        labels=block_labels((preset.n // 2, preset.n // 2)))
+    omega = build_omega(params)
+    bound = diagnostics(params).wnorm_bound
     worst_norm = 0.0
     monkeypatch.setattr(eigen_mod, "DEFAULT_TOL", 1e-8)
     for s in range(50):
-        g = sample_adjacency(params, labels, 4200 + s)
+        g = sample_adjacency(params, np.random.default_rng(4200 + s))
         noise = g.adjacency.toarray() - omega
         worst_norm = max(worst_norm,
                          abs(leading_eigs(noise, 1).values[0]))

@@ -23,6 +23,24 @@ def run(*args):
     return CliRunner().invoke(main, args, catch_exceptions=False)
 
 
+def test_version_runs_from_the_source_tree():
+    result = CliRunner().invoke(main, ["--version"])
+    assert result.exit_code == 0
+    assert "0.1.0" in result.output
+
+
+@pytest.mark.parametrize("q, code, message", [
+    ("inf", 2, "q must be finite and positive, got inf"),
+    ("nan", 2, "q must be finite and positive, got nan"),
+    ("0.001", 4, "numerical failure: the l^0.001 norm of 34 nonzero"),
+    ("1000", 4, "numerical failure: the l^1000 norm of 33 nonzero")])
+def test_detect_rejects_a_q_whose_norms_leave_float_range(q, code, message):
+    result = CliRunner().invoke(main, ["detect", "--input", "builtin:karate",
+                                       "--k", "3", "--method", f"scoreq:{q}"])
+    assert result.exit_code == code
+    assert message in result.output
+
+
 def test_console_script_is_the_click_group():
     # pyproject's [project.scripts] entry, resolved as an installer would
     tomllib = pytest.importorskip("tomllib")
@@ -374,6 +392,34 @@ def test_degenerate_model_exits_numerical_failure(tmp_path):
                                        str(path)])
     assert result.exit_code == 4
     assert "numerical failure" in result.output
+
+
+@pytest.mark.parametrize("command", [["experiment"],
+                                     ["spectra", "population"]])
+@pytest.mark.parametrize("A, message", [
+    ("1 0.8 ; 0.8 1", "A must be 3x3, got rows of lengths [2, 2]"),
+    ("1 0.8 0 ; 0.8 1", "A must be 3x3, got rows of lengths [3, 2]")])
+def test_config_whose_a_is_not_k_by_k_is_data_error(tmp_path, command, A,
+                                                    message):
+    path = tmp_path / "cfg.txt"
+    path.write_text(f"n = 30\nK = 3\nrep = 1\nA = {A}\n"
+                    "theta = constant c=0.5\n")
+    result = CliRunner().invoke(main, command + ["--config", str(path)])
+    assert result.exit_code == 3
+    assert result.output == f"data error: bad config value: {message}\n"
+
+
+@pytest.mark.parametrize("command", [["experiment"],
+                                     ["spectra", "population"],
+                                     ["spectra", "diagnostics"]])
+def test_config_with_nan_theta_is_data_error(tmp_path, command):
+    path = tmp_path / "cfg.txt"
+    path.write_text("n = 40\nK = 2\nrep = 1\nA = 1 0.5 ; 0.5 1\n"
+                    "theta = constant c=nan\n")
+    result = CliRunner().invoke(main, command + ["--config", str(path)])
+    assert result.exit_code == 3
+    assert result.output == ("data error: theta pattern constant c=nan "
+                             "leaves (0, 1): range [nan, nan]\n")
 
 
 def test_uniform_clustering_flag(tmp_path):

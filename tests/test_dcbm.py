@@ -15,20 +15,25 @@ from conftest import build_omega, r0_vector, random_dcbm
 
 
 def exp1_params(n=1000):
-    return DCBMParams(K=2, A=np.array([[1.0, 0.5], [0.5, 1.0]]),
-                      theta=np.full(n, 0.2), sizes=(n // 2, n // 2))
+    return DCBMParams(A=np.array([[1.0, 0.5], [0.5, 1.0]]),
+                      theta=np.full(n, 0.2),
+                      labels=block_labels((n // 2, n // 2)))
+
+
+def one_community(theta):
+    return DCBMParams(A=np.array([[1.0]]), theta=theta,
+                      labels=np.ones(len(theta), dtype=np.int64))
 
 
 def test_build_omega_rank_one_for_single_community():
     theta = np.array([0.2, 0.3, 0.4])
-    params = DCBMParams(K=1, A=np.array([[1.0]]), theta=theta, sizes=(3,))
-    omega = build_omega(params, block_labels((3,)))
+    omega = build_omega(one_community(theta))
     assert np.allclose(omega, np.outer(theta, theta))
 
 
 def test_build_omega_experiment_one_blocks():
     params = exp1_params(n=40)
-    omega = build_omega(params, block_labels(params.sizes))
+    omega = build_omega(params)
     assert np.allclose(omega[:20, :20], 0.04)
     assert np.allclose(omega[20:, 20:], 0.04)
     assert np.allclose(omega[:20, 20:], 0.02)
@@ -37,9 +42,9 @@ def test_build_omega_experiment_one_blocks():
 
 def test_omega_reconstructed_from_population_spectrum(rng):
     for _ in range(8):
-        params, labels = random_dcbm(rng, n_max=96)
-        omega = build_omega(params, labels)
-        ps = population_spectrum(params, labels)
+        params = random_dcbm(rng, n_max=96)
+        omega = build_omega(params)
+        ps = population_spectrum(params)
         recon = (ps.eta_vectors * ps.lambdas) @ ps.eta_vectors.T
         err = np.linalg.norm(recon - omega) / np.linalg.norm(omega)
         assert err < 1e-9
@@ -47,55 +52,64 @@ def test_omega_reconstructed_from_population_spectrum(rng):
 
 def test_model_validity_checks():
     with pytest.raises(ModelValidityError, match="max entry"):
-        DCBMParams(K=1, A=np.array([[0.8]]), theta=np.full(4, 0.2), sizes=(4,))
+        DCBMParams(A=np.array([[0.8]]), theta=np.full(4, 0.2),
+                   labels=[1, 1, 1, 1])
     with pytest.raises(ModelValidityError, match="symmetric"):
-        DCBMParams(K=2, A=np.array([[1.0, 0.2], [0.3, 1.0]]),
-                   theta=np.full(4, 0.2), sizes=(2, 2))
-    with pytest.raises(ModelValidityError, match=r"\(0, 1\)"):
-        DCBMParams(K=1, A=np.array([[1.0]]), theta=np.full(4, 1.0), sizes=(4,))
+        DCBMParams(A=np.array([[1.0, 0.2], [0.3, 1.0]]),
+                   theta=np.full(4, 0.2), labels=[1, 1, 2, 2])
+    for bad in (1.0, math.nan):
+        with pytest.raises(ModelValidityError, match=r"\(0, 1\)"):
+            one_community(np.full(4, bad))
 
 
-@pytest.mark.parametrize("labels", [
-    [],                        # empty
-    [1, 1, 1, 2, 2],           # too short
-    [0, 1, 1, 1, 2, 2, 2],     # too long; its 1s and 2s alone fit the sizes
-    [0, 1, 1, 2, 2, 2],        # a 0
-    [-1, 1, 1, 2, 2, 2],       # a negative label
-    [1, 1, 1, 2, 2, 3],        # K + 1
-    [1, 1, 2, 2, 2, 2],        # labels in 1..K, wrong community sizes
-], ids=["empty", "short", "long", "zero", "negative", "K+1", "sizes"])
+_A2 = [[1.0, 0.5], [0.5, 1.0]]
+_A3 = [[1.0, 0.5, 0.2], [0.5, 1.0, 0.5], [0.2, 0.5, 1.0]]
+
+
+@pytest.mark.parametrize("A,labels,match", [
+    (_A2, [], "one label per theta entry"),
+    (_A2, [1, 1, 1, 2, 2], "one label per theta entry"),
+    (_A2, [0, 1, 1, 1, 2, 2, 2], "one label per theta entry"),
+    (_A2, [0, 1, 1, 2, 2, 2], r"in 1\.\.2"),
+    (_A2, [-1, 1, 1, 2, 2, 2], r"in 1\.\.2"),
+    (_A2, [1, 1, 1, 2, 2, 3], r"in 1\.\.2"),
+    (_A2, [1, 1, 1.5, 2, 2, 2], r"integers in 1\.\.2"),
+    (_A2, [2, 2, 2, 2, 2, 2], "community 1 has no member"),
+    (_A3, [1, 1, 1, 2, 2, 2], "community 3 has no member"),
+    ([[1.0, 0.5]], [1, 1, 1, 1, 1, 1], "square"),
+], ids=["empty", "short", "long", "zero", "negative", "K+1", "fraction",
+        "no member", "no highest member", "non-square A"])
 @pytest.mark.parametrize("call", [
-    lambda p, labels: sample_adjacency(p, labels, 0),
+    lambda p: sample_adjacency(p, np.random.default_rng(0)),
     population_spectrum, diagnostics],
     ids=["sample_adjacency", "population_spectrum", "diagnostics"])
-def test_labels_must_match_the_declared_community_sizes(call, labels):
-    params = DCBMParams(K=2, A=[[1.0, 0.5], [0.5, 1.0]],
-                        theta=np.linspace(0.1, 0.6, 6), sizes=(3, 3))
-    call(params, block_labels(params.sizes))  # the block labels fit
-    with pytest.raises(ValueError, match="declared community sizes"):
-        call(params, np.array(labels, dtype=np.int64))
+def test_labels_must_match_the_declared_community_sizes(call, A, labels,
+                                                        match):
+    # every entry point runs on a model whose labels fit A and theta; one
+    # whose labels do not cannot be built, so no entry point ever sees it
+    theta = np.linspace(0.1, 0.6, 6)
+    call(DCBMParams(A=_A2, theta=theta, labels=[1, 1, 1, 2, 2, 2]))
+    with pytest.raises(ModelValidityError, match=match):
+        DCBMParams(A=A, theta=theta, labels=labels)
 
 
 def test_sample_empty_when_offdiagonal_rates_vanish(rng):
     # singleton communities and A = I: every cross pair has probability 0
-    params = DCBMParams(K=3, A=np.eye(3), theta=np.full(3, 0.5),
-                        sizes=(1, 1, 1))
-    g = sample_adjacency(params, block_labels(params.sizes), rng)
+    params = DCBMParams(A=np.eye(3), theta=np.full(3, 0.5), labels=[1, 2, 3])
+    g = sample_adjacency(params, rng)
     assert g.num_edges == 0
 
 
 def test_sample_complete_when_rates_near_one():
-    params = DCBMParams(K=1, A=np.array([[1.0]]),
-                        theta=np.full(30, 1.0 - 1e-9), sizes=(30,))
-    g = sample_adjacency(params, block_labels(params.sizes), 123)
+    params = one_community(np.full(30, 1.0 - 1e-9))
+    g = sample_adjacency(params, np.random.default_rng(123))
     assert g.num_edges == 30 * 29 // 2
 
 
 def test_sample_determinism():
     params = exp1_params(n=100)
-    labels = block_labels(params.sizes)
-    a = sample_adjacency(params, labels, 7)
-    b = sample_adjacency(params, labels, 7)
+    a = sample_adjacency(params, np.random.default_rng(7))
+    b = sample_adjacency(params, np.random.default_rng(7))
     assert (a.adjacency != b.adjacency).nnz == 0
 
 
@@ -104,8 +118,7 @@ def repetition0_digests(preset):
     from scorecd.experiments import PRESETS
     cfg = PRESETS[preset]
     rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 0]))
-    params, labels = cfg.model(rng)
-    adj = sample_adjacency(params, labels, rng).adjacency
+    adj = sample_adjacency(cfg.model(rng), rng).adjacency
     assert adj.has_canonical_format and adj.data.dtype == np.int8
     digests = {}
     for name in ("indptr", "indices", "data"):
@@ -129,10 +142,10 @@ def test_sample_golden_digest_k3():
                                          "data": "3c762713fa849a07"}
 
 
-def row_loop_sample(p, labels, rng):
+def row_loop_sample(p, rng):
     """Reference sampler: one rng.random call per upper-triangle row."""
     n = p.n
-    lab0 = labels - 1
+    lab0 = p.labels - 1
     theta = p.theta
     a_rows = p.A[:, lab0]  # a_rows[k, j] = A[k, lab0[j]]
     counts, cols = [], []
@@ -147,13 +160,13 @@ def row_loop_sample(p, labels, rng):
     return from_edges(pairs, n)
 
 
-def assert_same_draw(params, labels, seed):
+def assert_same_draw(params, seed):
     """The sampler and the row loop give the same CSR arrays and leave
     equally seeded generators in the same state."""
     rng_ref = np.random.default_rng(seed)
     rng_new = np.random.default_rng(seed)
-    ref = row_loop_sample(params, labels, rng_ref).adjacency
-    new = sample_adjacency(params, labels, rng_new).adjacency
+    ref = row_loop_sample(params, rng_ref).adjacency
+    new = sample_adjacency(params, rng_new).adjacency
     for name in ("indptr", "indices", "data"):
         a, b = getattr(ref, name), getattr(new, name)
         assert a.dtype == b.dtype, name
@@ -176,54 +189,53 @@ def test_sample_matches_row_loop_on_presets(preset):
     from scorecd.experiments import PRESETS
     cfg = PRESETS[preset]
     for seed in (3, 17, 2024):
-        params, labels = cfg.model(seed)
-        assert_same_draw(params, labels, seed)
+        assert_same_draw(cfg.model(np.random.default_rng(seed)), seed)
 
 
 def test_sample_matches_row_loop_on_edge_shapes(rng):
     one = np.array([[1.0]])
-    cases = [DCBMParams(K=1, A=one, theta=np.full(n, 0.5), sizes=(n,))
-             for n in (1, 2, 3)]
-    cases.append(DCBMParams(K=2, A=np.eye(2), theta=np.full(3, 0.9),
-                            sizes=(1, 2)))
-    cases.append(DCBMParams(K=3, A=np.eye(3), theta=rng.uniform(0.1, 0.9, 60),
-                            sizes=(10, 20, 30)))   # zero off-diagonal blocks
-    cases.append(DCBMParams(K=1, A=one, theta=np.full(40, 1.0 - 1e-12),
-                            sizes=(40,)))
-    cases.append(DCBMParams(K=2, A=[[0.3, 1.0], [1.0, 0.0]],
+    cases = [one_community(np.full(n, 0.5)) for n in (1, 2, 3)]
+    cases.append(DCBMParams(A=np.eye(2), theta=np.full(3, 0.9),
+                            labels=[1, 2, 2]))
+    cases.append(DCBMParams(A=np.eye(3), theta=rng.uniform(0.1, 0.9, 60),
+                            labels=block_labels((10, 20, 30))))
+    # zero off-diagonal blocks, above; theta near 1 and zero A(2, 2), below
+    cases.append(one_community(np.full(40, 1.0 - 1e-12)))
+    cases.append(DCBMParams(A=[[0.3, 1.0], [1.0, 0.0]],
                             theta=1.0 - rng.uniform(1e-15, 1e-3, 50),
-                            sizes=(25, 25)))      # theta near 1, zero A(2, 2)
+                            labels=block_labels((25, 25))))
     for params in cases:
         for seed in range(4):
-            assert_same_draw(params, block_labels(params.sizes), seed)
+            assert_same_draw(params, seed)
     for _ in range(20):
-        params, labels = random_dcbm(rng, n_max=120)
-        assert_same_draw(params, labels, int(rng.integers(1 << 30)))
+        params = random_dcbm(rng, n_max=120)
+        assert_same_draw(params, int(rng.integers(1 << 30)))
         # labels need not come in contiguous blocks
-        shuffled = rng.permutation(labels)
-        assert_same_draw(params, shuffled, int(rng.integers(1 << 30)))
+        shuffled = DCBMParams(A=params.A, theta=params.theta,
+                              labels=rng.permutation(params.labels))
+        assert_same_draw(shuffled, int(rng.integers(1 << 30)))
 
 
 @pytest.mark.parametrize("block", [1, 7, 100])
 def test_sample_matches_row_loop_with_rows_longer_than_a_block(
         monkeypatch, block):
     monkeypatch.setattr(dcbm, "_BLOCK_ENTRIES", block)
-    params = DCBMParams(K=2, A=np.array([[1.0, 0.5], [0.5, 0.8]]),
-                        theta=np.linspace(0.05, 0.95, 150), sizes=(70, 80))
+    params = DCBMParams(A=np.array([[1.0, 0.5], [0.5, 0.8]]),
+                        theta=np.linspace(0.05, 0.95, 150),
+                        labels=block_labels((70, 80)))
     for seed in range(3):
-        assert_same_draw(params, block_labels(params.sizes), seed)
+        assert_same_draw(params, seed)
 
 
 def test_sampling_frequencies_match_block_rates():
     # Monte-Carlo oracle: block-aggregated edge frequencies over 200 draws
     # stay within 5 standard errors of the Bernoulli rates
     params = exp1_params()
-    labels = block_labels(params.sizes)
-    m = params.sizes[0]
+    m = params.n // 2
     reps = 200
     counts = np.zeros(3)  # within-1, within-2, across
     for r in range(reps):
-        g = sample_adjacency(params, labels, 1000 + r)
+        g = sample_adjacency(params, np.random.default_rng(1000 + r))
         a = g.adjacency
         counts[0] += a[:m, :m].nnz / 2
         counts[1] += a[m:, m:].nnz / 2
@@ -255,14 +267,16 @@ def test_theta_pattern_validity_and_permutation():
     with pytest.raises(ModelValidityError):
         ThetaPattern("constant", {"c": 1.2}).generate(10)
     with pytest.raises(ModelValidityError):
+        ThetaPattern("constant", {"c": math.nan}).generate(10)
+    with pytest.raises(ModelValidityError):
         ThetaPattern("two_point", {"c0": 0.5, "d0": -0.1}).generate(10)
     with pytest.raises(ValueError, match="unknown theta pattern"):
         ThetaPattern("cubic", {"c": 0.1})
     with pytest.raises(ValueError, match="parameters"):
         ThetaPattern("constant", {"x": 0.1})
     pat = ThetaPattern("linear", {"d0": 0.02, "c0": 0.5})
-    a = permuted_theta(pat, 50, 11)
-    b = permuted_theta(pat, 50, 11)
+    a = permuted_theta(pat, 50, np.random.default_rng(11))
+    b = permuted_theta(pat, 50, np.random.default_rng(11))
     assert np.array_equal(a, b)
     assert sorted(a) == pytest.approx(sorted(pat.generate(50)))
     assert not np.array_equal(a, pat.generate(50))  # actually permuted
@@ -277,9 +291,9 @@ def closed_form_two_community(a, b, c, d1, d2, theta_sq):
 
 def test_population_spectrum_two_communities_closed_form(rng):
     for _ in range(10):
-        params, labels = random_dcbm(rng, n_max=60, k_choices=(2,))
-        ps = population_spectrum(params, labels)
-        t = params.theta
+        params = random_dcbm(rng, n_max=60, k_choices=(2,))
+        ps = population_spectrum(params)
+        t, labels = params.theta, params.labels
         d1 = np.linalg.norm(t[labels == 1]) / np.linalg.norm(t)
         d2 = np.linalg.norm(t[labels == 2]) / np.linalg.norm(t)
         lam_p, lam_m = closed_form_two_community(
@@ -290,17 +304,16 @@ def test_population_spectrum_two_communities_closed_form(rng):
 
 def test_population_spectrum_k1():
     theta = np.array([0.3, 0.4, 0.5])
-    params = DCBMParams(K=1, A=np.array([[1.0]]), theta=theta, sizes=(3,))
-    ps = population_spectrum(params, block_labels((3,)))
+    ps = population_spectrum(one_community(theta))
     assert ps.lambdas[0] == pytest.approx(theta @ theta)
     assert np.allclose(ps.eta_vectors[:, 0], theta / np.linalg.norm(theta))
 
 
 def test_population_spectrum_matches_dense_oracle(rng):
     for _ in range(10):
-        params, labels = random_dcbm(rng, n_max=96, k_choices=(3,))
-        ps = population_spectrum(params, labels)
-        omega = build_omega(params, labels)
+        params = random_dcbm(rng, n_max=96, k_choices=(3,))
+        ps = population_spectrum(params)
+        omega = build_omega(params)
         vals, vecs = np.linalg.eigh(omega)
         order = sorted(range(len(vals)),
                        key=lambda i: (-abs(vals[i]), vals[i] < 0))[:params.K]
@@ -313,14 +326,15 @@ def test_population_spectrum_matches_dense_oracle(rng):
         scaled = ps.eta_vectors / params.theta[:, None]
         for k in range(params.K):
             for comm in range(1, params.K + 1):
-                col = scaled[labels == comm, k]
+                col = scaled[params.labels == comm, k]
                 assert np.abs(col - col[0]).max() < 1e-10
 
 
 def test_population_spectrum_rejects_degenerate():
-    params = DCBMParams(K=2, A=np.eye(2), theta=np.full(8, 0.3), sizes=(4, 4))
+    params = DCBMParams(A=np.eye(2), theta=np.full(8, 0.3),
+                        labels=block_labels((4, 4)))
     with pytest.raises(DegeneracyError):
-        population_spectrum(params, block_labels((4, 4)))
+        population_spectrum(params)
 
 
 def test_r0_symmetric_cases():
@@ -345,11 +359,11 @@ def test_r0_matches_population_eigenvector_ratio(rng):
             continue
         n1, n2 = rng.integers(3, 30, size=2)
         theta = rng.uniform(0.1, 0.9, size=n1 + n2)
-        params = DCBMParams(K=2, A=np.array([[a, b], [b, c]]), theta=theta,
-                            sizes=(int(n1), int(n2)))
-        labels = block_labels(params.sizes)
+        labels = block_labels((n1, n2))
+        params = DCBMParams(A=np.array([[a, b], [b, c]]), theta=theta,
+                            labels=labels)
         try:
-            ps = population_spectrum(params, labels)
+            ps = population_spectrum(params)
         except DegeneracyError:
             continue
         ratio = ps.eta_vectors[:, 1] / ps.eta_vectors[:, 0]
@@ -362,22 +376,20 @@ def test_r0_matches_population_eigenvector_ratio(rng):
 
 
 def test_population_ratio_matrix_rows(rng):
-    params = DCBMParams(K=2, A=np.array([[0.8, 0.4], [0.4, 0.8]]) / 0.8,
-                        theta=np.full(10, 0.3), sizes=(5, 5))
-    labels = block_labels(params.sizes)
-    rm = population_ratio_matrix(population_spectrum(params, labels))
-    col = rm.R[:, 0]
+    params = DCBMParams(A=np.array([[0.8, 0.4], [0.4, 0.8]]) / 0.8,
+                        theta=np.full(10, 0.3), labels=block_labels((5, 5)))
+    col = population_ratio_matrix(population_spectrum(params))[:, 0]
     assert np.allclose(np.abs(col), 1.0)
     assert np.allclose(col[:5], col[0])
     assert np.allclose(col[5:], -col[0])
 
     for _ in range(6):
-        params, labels = random_dcbm(rng, n_max=80, k_choices=(2, 3, 4))
-        ps = population_spectrum(params, labels)
-        rm = population_ratio_matrix(ps)
+        params = random_dcbm(rng, n_max=80, k_choices=(2, 3, 4))
+        ps = population_spectrum(params)
+        R = population_ratio_matrix(ps)
         expected = ps.a_vectors[:, 1:] / ps.a_vectors[:, [0]]
         for comm in range(params.K):
-            rows = rm.R[labels == comm + 1]
+            rows = R[params.labels == comm + 1]
             assert np.allclose(rows, expected[comm], atol=1e-9)
         for i in range(params.K):
             for j in range(i + 1, params.K):
@@ -396,9 +408,7 @@ def transcribed_err_n(theta, n):
 
 
 def test_diagnostics_constant_theta_and_err_n(rng):
-    params = exp1_params(n=500)
-    labels = block_labels(params.sizes)
-    diag = diagnostics(params, labels)
+    diag = diagnostics(exp1_params(n=500))
     t, n = 0.2, 500
     expected_snr = t * math.sqrt(n / math.log(n))
     assert diag.osnr == pytest.approx(expected_snr, rel=1e-12)
@@ -410,8 +420,8 @@ def test_diagnostics_constant_theta_and_err_n(rng):
         4 * math.sqrt(math.log(n) * 0.2 * 0.2 * n))
 
     for _ in range(5):
-        params, labels = random_dcbm(rng, n_max=64)
-        diag = diagnostics(params, labels)
+        params = random_dcbm(rng, n_max=64)
+        diag = diagnostics(params)
         assert diag.err_n == pytest.approx(
             transcribed_err_n(list(params.theta), params.n), rel=1e-12)
         assert np.isfinite(diag.err_n) and diag.err_n >= 0
@@ -422,11 +432,10 @@ def test_noise_norm_within_bound_smoke(rng):
     # small version of the acceptance sweep: sampled noise spectral norm
     # stays under the 4 sqrt(log n theta_max |theta|_1) envelope
     params = exp1_params(n=300)
-    labels = block_labels(params.sizes)
-    omega = build_omega(params, labels)
-    bound = diagnostics(params, labels).wnorm_bound
+    omega = build_omega(params)
+    bound = diagnostics(params).wnorm_bound
     for seed in range(3):
-        g = sample_adjacency(params, labels, seed)
+        g = sample_adjacency(params, np.random.default_rng(seed))
         noise = g.adjacency.toarray() - omega
         norm = abs(leading_eigs(noise, K=1).values[0])
         assert norm <= bound

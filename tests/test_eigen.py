@@ -41,9 +41,8 @@ def test_two_community_expectation_matches_closed_form(rng):
         A = np.array([[1.0, b], [b, rng.uniform(0.2, 1.0)]])
         A /= A.max()
         theta = rng.uniform(0.1, 0.9, size=60)
-        params = DCBMParams(K=2, A=A, theta=theta, sizes=(25, 35))
-        labels = block_labels(params.sizes)
-        omega = build_omega(params, labels)
+        labels = block_labels((25, 35))
+        omega = build_omega(DCBMParams(A=A, theta=theta, labels=labels))
         spec = leading_eigs(omega, K=2)
         t1 = np.linalg.norm(theta[labels == 1])
         t2 = np.linalg.norm(theta[labels == 2])
@@ -86,9 +85,10 @@ def test_residuals_and_orthogonality(rng):
 
 
 def test_perron_on_connected_graph(rng):
-    params = DCBMParams(K=2, A=np.array([[1.0, 0.6], [0.6, 1.0]]),
-                        theta=rng.uniform(0.3, 0.8, size=80), sizes=(40, 40))
-    g = sample_adjacency(params, block_labels(params.sizes), rng)
+    params = DCBMParams(A=np.array([[1.0, 0.6], [0.6, 1.0]]),
+                        theta=rng.uniform(0.3, 0.8, size=80),
+                        labels=block_labels((40, 40)))
+    g = sample_adjacency(params, rng)
     giant, _ = giant_component(g)
     spec = leading_eigs(giant, K=2)
     assert spec.values[0] > 0
@@ -137,10 +137,10 @@ def test_restart_cap_converges_a_weak_signal_k8_graph(monkeypatch):
     # U(0.02, 0.3), theta and graph drawn from one generator
     rng = np.random.default_rng(2)
     n, K = 6000, 8
-    params = DCBMParams(K=K, A=0.85 + 0.15 * np.eye(K),
-                        theta=rng.uniform(0.02, 0.3, n), sizes=(n // K,) * K)
-    g, _ = giant_component(
-        sample_adjacency(params, block_labels(params.sizes), rng))
+    params = DCBMParams(A=0.85 + 0.15 * np.eye(K),
+                        theta=rng.uniform(0.02, 0.3, n),
+                        labels=block_labels((n // K,) * K))
+    g, _ = giant_component(sample_adjacency(params, rng))
     leading_eigs(g, 8, seed=0)  # converges, or raises, under the default cap
     # ... but needs more than the 50 restarts of the earlier cap
     monkeypatch.setattr(eigen, "DEFAULT_MAX_ITER", 50)

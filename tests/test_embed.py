@@ -9,7 +9,7 @@ from scorecd import kmeans, leading_eigs, score_ratio
 from scorecd.dcbm import population_spectrum
 from scorecd.embed import npca_embed, opca_embed, scoreq_embed
 from scorecd.eigen import EigenPair, Spectrum
-from scorecd.errors import DegeneracyError
+from scorecd.errors import DegeneracyError, NumericalError
 from scorecd.graph import from_edges
 
 from conftest import build_omega, random_dcbm
@@ -72,8 +72,20 @@ def test_scoreq_unit_rows():
     spec = spectrum_of(np.array([[3.0, 4.0], [1.0, 0.0]]))
     assert np.allclose(scoreq_embed(spec, q=2)[0], [0.6, 0.8])
     assert np.allclose(scoreq_embed(spec, q=1)[0], [3 / 7, 4 / 7])
-    with pytest.raises(ValueError):
-        scoreq_embed(spec, q=0)
+    for q in (0, math.inf, math.nan):
+        with pytest.raises(ValueError, match="finite and positive"):
+            scoreq_embed(spec, q=q)
+
+
+@pytest.mark.parametrize("q", [1e-3, 1e3])
+def test_scoreq_norm_out_of_float_range_is_numerical_error(q):
+    # q = 1e-3 takes a 3-entry row's norm past the largest float (about
+    # 3^1000), q = 1e3 takes the second row's powers to 0; dividing by inf
+    # or skipping a zero norm would silently make them zero points
+    spec = spectrum_of(np.array([[0.3, 0.4, 0.5], [0.2, -0.1, 0.3],
+                                 [0.0, 0.0, 0.0]]))
+    with pytest.raises(NumericalError, match="pick a q nearer 1-2"):
+        scoreq_embed(spec, q=q)
 
 
 def test_scoreq_zero_rows_counted():
@@ -168,14 +180,14 @@ def test_noiseless_ratio_matrix_has_k_distinct_rows(rng):
     # exact spectrum of the expectation matrix: ratio rows collapse to the
     # K community values a_{k+1}(l)/a_1(l), pairwise at least sqrt(2) apart
     for _ in range(5):
-        params, labels = random_dcbm(rng, n_max=80, k_choices=(2, 3))
-        omega = build_omega(params, labels)
+        params = random_dcbm(rng, n_max=80, k_choices=(2, 3))
+        omega = build_omega(params)
         spec = leading_eigs(omega, K=params.K)
         rm = score_ratio(spec, T_n=math.inf)
-        ps = population_spectrum(params, labels)
+        ps = population_spectrum(params)
         expected_rows = (ps.a_vectors[:, 1:] / ps.a_vectors[:, [0]])
         for k in range(params.K):
-            rows = rm.R[labels == k + 1]
+            rows = rm.R[params.labels == k + 1]
             assert np.allclose(rows, rows[0], atol=1e-7)
             assert np.allclose(rows[0], expected_rows[k], atol=1e-7)
         uniq = expected_rows

@@ -72,7 +72,7 @@ def test_config_block_count_must_split_n(n, K, message):
     with pytest.raises(ParseError, match=message):
         config_from_text(f"n = {n}\nK = {K}\nrep = 1\nA = 1 0.5 ; 0.5 1\n"
                          "theta = constant c=0.2\n")
-    # no config reaches block_sizes() with a K that does not split n
+    # no config reaches model() with a K that does not split n
     with pytest.raises(ValueError, match=message):
         tiny_config(n=n, K=K)
 
@@ -192,7 +192,7 @@ def test_baseline_clustering_policy_applied_and_overridable():
     default = run_experiment(cfg, restarts=10)
     assert default.clustering == {"npca": {"restarts": 1, "init": "sample"}}
     assert default.payload()["clustering"]["npca"]["init"] == "sample"
-    forced = run_experiment(cfg, restarts=10, clustering={"npca": {}})
+    forced = run_experiment(cfg, restarts=10, uniform_clustering=True)
     assert forced.clustering == {"npca": {}}
     # the score stream is untouched by the policy change
     assert forced.rates["score"] == default.rates["score"]

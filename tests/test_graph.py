@@ -278,11 +278,10 @@ def test_giant_component_tie_breaks_on_first_seen():
 
 
 def test_giant_component_matches_bfs_oracle(rng):
-    params = DCBMParams(K=2, A=np.array([[1.0, 0.3], [0.3, 1.0]]),
+    params = DCBMParams(A=np.array([[1.0, 0.3], [0.3, 1.0]]),
                         theta=rng.uniform(0.02, 0.08, size=120),
-                        sizes=(60, 60))
-    labels = block_labels(params.sizes)
-    g = sample_adjacency(params, labels, rng)
+                        labels=block_labels((60, 60)))
+    g = sample_adjacency(params, rng)
     comp = bfs_component_sizes(g)
     sizes = np.bincount(comp)
     expected = np.nonzero(comp == sizes.argmax())[0]
@@ -329,9 +328,10 @@ def test_remove_isolated_keeps_surviving_edges(rng):
 
 def test_experiment_scale_sample_keeps_nearly_all_nodes(rng):
     # constant theta 0.2 at n=1000: isolated nodes are essentially impossible
-    params = DCBMParams(K=2, A=np.array([[1.0, 0.5], [0.5, 1.0]]),
-                        theta=np.full(1000, 0.2), sizes=(500, 500))
-    g = sample_adjacency(params, block_labels(params.sizes), rng)
+    params = DCBMParams(A=np.array([[1.0, 0.5], [0.5, 1.0]]),
+                        theta=np.full(1000, 0.2),
+                        labels=block_labels((500, 500)))
+    g = sample_adjacency(params, rng)
     sub, _ = remove_isolated(g)
     assert sub.n >= 0.995 * g.n
 

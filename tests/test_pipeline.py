@@ -17,8 +17,9 @@ def test_parse_method_forms():
     assert parse_method("scoreq:0.5") == ("scoreq", 0.5, "scoreq:0.5")
     with pytest.raises(ValueError):
         parse_method("modularity")
-    with pytest.raises(ValueError):
-        parse_method("scoreq:-1")
+    for q in ("-1", "0", "inf", "nan"):
+        with pytest.raises(ValueError, match="finite and positive"):
+            parse_method(f"scoreq:{q}")
 
 
 def test_stage_clock_adds_up_laps_of_one_stage(monkeypatch):
@@ -34,12 +35,11 @@ def test_stage_clock_adds_up_laps_of_one_stage(monkeypatch):
 
 @pytest.fixture(scope="module")
 def sampled_graph():
-    params = DCBMParams(K=2, A=np.array([[1.0, 0.15], [0.15, 1.0]]),
-                        theta=np.full(120, 0.45), sizes=(60, 60))
-    truth = block_labels(params.sizes)
-    g = sample_adjacency(params, truth, 99)
+    params = DCBMParams(A=np.array([[1.0, 0.15], [0.15, 1.0]]),
+                        theta=np.full(120, 0.45), labels=block_labels((60, 60)))
+    g = sample_adjacency(params, np.random.default_rng(99))
     giant, keep = giant_component(g)
-    return giant, truth[keep]
+    return giant, params.labels[keep]
 
 
 def test_every_method_recovers_clear_communities(sampled_graph):
