@@ -11,6 +11,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sp
 
 from . import eigen
 from .errors import DegeneracyError, NumericalError
@@ -106,14 +107,19 @@ def npca_embed(g, K, seed=0):
     """n x K leading-eigenvector rows of D^{-1/2} X D^{-1/2} (normalized PCA).
 
     D is the degree diagonal of `g`; every node must have degree >= 1, so
-    preprocess with remove_isolated / giant_component first.
+    preprocess with remove_isolated / giant_component first.  The operator
+    shares the adjacency's indptr and indices; entry (i, j) is s_i * s_j
+    with s = 1 / sqrt(d), the same bits as scaling the rows, then the
+    columns, of the 0/1 adjacency.
     """
-    d = g.degrees().astype(float)
+    d = g.degrees()
     if np.any(d == 0):
         raise ValueError("graph has zero-degree nodes; remove isolated nodes "
                          "before the normalized embedding")
-    inv_sqrt = 1.0 / np.sqrt(d)
-    normalized = g.adjacency.astype(float).multiply(inv_sqrt[:, None]) \
-                                          .multiply(inv_sqrt[None, :]).tocsr()
+    adj = g.adjacency
+    inv_sqrt = 1.0 / np.sqrt(d.astype(float))
+    normalized = sp.csr_matrix(
+        (np.repeat(inv_sqrt, d) * inv_sqrt.take(adj.indices), adj.indices,
+         adj.indptr), shape=adj.shape)
     spectrum = eigen.leading_eigs(normalized, K, seed=seed)
     return spectrum.vectors

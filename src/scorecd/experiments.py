@@ -104,25 +104,8 @@ PRESETS = {
 }
 
 
-def config_to_text(cfg):
-    """Serialize a config to the plain-text key = value format."""
-    rows = " ; ".join(" ".join(repr(x) for x in row) for row in cfg.A)
-    lines = [
-        f"id = {cfg.id}",
-        f"n = {cfg.n}",
-        f"K = {cfg.K}",
-        f"rep = {cfg.rep}",
-        f"A = {rows}",
-        f"theta = {cfg.theta.kind} "
-        + " ".join(f"{k}={v!r}" for k, v in sorted(cfg.theta.params.items())),
-        f"methods = {' '.join(cfg.methods)}",
-        f"seed = {cfg.seed}",
-    ]
-    return "\n".join(lines) + "\n"
-
-
 def config_from_text(text):
-    """Parse the plain-text config format back into an ExperimentConfig.
+    """Parse the plain-text key = value config format into an ExperimentConfig.
 
     Lines are read as graph.data_lines reads them; a bad value is a ParseError.
     """

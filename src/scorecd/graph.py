@@ -30,16 +30,23 @@ class Graph:
         return int(self.adjacency.nnz // 2)
 
     def degrees(self):
-        """Degree vector d, d(i) = number of neighbors of i."""
-        return np.asarray(self.adjacency.sum(axis=1)).ravel().astype(np.int64)
+        """Degree vector d, d(i) = number of neighbors of i (int64).
+
+        This is the row length: the adjacency from_edges builds, and every
+        subgraph cut from it, stores no explicit zeros.
+        """
+        return np.diff(self.adjacency.indptr).astype(np.int64)
 
 
 def from_edges(edges, n, original_ids=None):
     """Build a Graph on nodes 0..n-1 from an m x 2 array-like of index pairs.
 
     Self-loops are dropped and duplicate or reversed pairs collapse to one
-    edge, so the adjacency is symmetric 0/1 (int8) CSR in canonical format.
-    Indices must lie in [0, n); nodes no pair names are isolated.
+    edge, so the adjacency is symmetric 0/1 (int8) CSR in canonical format,
+    with int32 indices unless its entry count needs int64.  Indices must lie
+    in [0, n); nodes no pair names are isolated.  Only the upper triangle is
+    built by sorting, and scipy skips the sort when the pairs come sorted
+    and unique, as the sampler's do; the rest is linear.
     """
     pairs = np.asarray(edges, dtype=np.int64)
     if pairs.size == 0:
@@ -47,12 +54,26 @@ def from_edges(edges, n, original_ids=None):
     if pairs.ndim != 2 or pairs.shape[1] != 2:
         raise ValueError(f"edges must be an m x 2 array of index pairs, got "
                          f"shape {pairs.shape}")
-    iu, ju = pairs[pairs[:, 0] != pairs[:, 1]].T
-    adj = sp.csr_matrix((np.ones(2 * iu.size, dtype=np.int8),
-                         (np.concatenate([iu, ju]), np.concatenate([ju, iu]))),
+    lo = np.minimum(pairs[:, 0], pairs[:, 1])
+    hi = np.maximum(pairs[:, 0], pairs[:, 1])
+    edge = lo != hi
+    # the constructor sums duplicates; int8 sums can wrap, but only the
+    # sparsity pattern of `upper` is read
+    upper = sp.csr_matrix((np.ones(np.count_nonzero(edge), dtype=np.int8),
+                           (lo[edge], hi[edge])), shape=(n, n))
+    lower = upper.T.tocsr()
+    # row r is row r of `lower` (columns below r), then row r of `upper`
+    within = np.arange(upper.nnz)
+    indices = np.empty(2 * upper.nnz, dtype=upper.indices.dtype)
+    indices[within + np.repeat(upper.indptr[:-1], np.diff(lower.indptr))] = \
+        lower.indices
+    indices[within + np.repeat(lower.indptr[1:], np.diff(upper.indptr))] = \
+        upper.indices
+    # summed in int64, which cannot wrap; the constructor narrows what fits
+    adj = sp.csr_matrix((np.ones(indices.size, dtype=np.int8), indices,
+                         lower.indptr.astype(np.int64) + upper.indptr),
                         shape=(n, n))
-    # the constructor sums duplicates; int8 sums can wrap, so reset them to 1
-    adj.data[:] = 1
+    adj.has_canonical_format = True
     if original_ids is None:
         original_ids = tuple(range(n))
     return Graph(n=n, adjacency=adj, original_ids=tuple(original_ids))
@@ -175,15 +196,33 @@ def _integer_edges(text):
 
 
 def _induced_subgraph(g, keep):
-    """Subgraph on the (sorted) index array `keep`, plus the index map."""
+    """Subgraph on the sorted index array `keep`, plus the index map.
+
+    `keep` must be closed: a union of connected components, so no kept node
+    has a dropped neighbor (a ValueError otherwise).  Then the kept rows'
+    entries are the subgraph's, and the monotone old-to-new table renames
+    their columns without unsorting any row.
+    """
     keep = np.asarray(keep, dtype=np.int64)
-    adj = g.adjacency[keep][:, keep].tocsr()
-    adj.sort_indices()
+    adj = g.adjacency
+    new = np.full(g.n, -1, dtype=adj.indices.dtype)
+    new[keep] = np.arange(keep.size)
+    lengths = np.diff(adj.indptr)
+    picked = np.repeat(new >= 0, lengths)
+    indices = new.take(adj.indices[picked])
+    if (indices < 0).any():
+        raise ValueError("node set is not closed: a kept node has a dropped "
+                         "neighbor")
+    indptr = np.zeros(keep.size + 1, dtype=adj.indptr.dtype)
+    np.cumsum(lengths[keep], out=indptr[1:])
+    sub = sp.csr_matrix((adj.data[picked], indices, indptr),
+                        shape=(keep.size, keep.size))
+    sub.has_canonical_format = True
     pick = keep.tolist()
     # itemgetter of one index returns the bare item, not a 1-tuple
     ids = (itemgetter(*pick)(g.original_ids) if len(pick) > 1
            else tuple(g.original_ids[i] for i in pick))
-    return Graph(n=keep.size, adjacency=adj, original_ids=ids), keep
+    return Graph(n=keep.size, adjacency=sub, original_ids=ids), keep
 
 
 def giant_component(g):

@@ -120,6 +120,7 @@ def repetition0_digests(preset):
     rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 0]))
     adj = sample_adjacency(cfg.model(rng), rng).adjacency
     assert adj.has_canonical_format and adj.data.dtype == np.int8
+    assert adj.indptr.dtype == adj.indices.dtype == np.int32
     digests = {}
     for name in ("indptr", "indices", "data"):
         arr = np.asarray(getattr(adj, name), dtype=np.int64)

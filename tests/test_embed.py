@@ -132,6 +132,31 @@ def test_npca_regular_graph_matches_plain_eigenvectors():
         assert min(np.linalg.norm(a - b), np.linalg.norm(a + b)) < 1e-8
 
 
+def test_npca_operator_equals_row_then_column_scaling(monkeypatch):
+    # preset 1, repetition 0, cut as the harness cuts it: the operator the
+    # solver receives is bit for bit the 0/1 adjacency scaled by D^-1/2 on
+    # the rows, then on the columns
+    from scorecd import embed
+    from scorecd.experiments import PRESETS
+    from scorecd.dcbm import sample_adjacency
+    from scorecd.graph import remove_isolated
+    cfg = PRESETS["1"]
+    rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 0]))
+    g, _ = remove_isolated(sample_adjacency(cfg.model(rng), rng))
+    seen = []
+    solve = embed.eigen.leading_eigs
+    monkeypatch.setattr(embed.eigen, "leading_eigs",
+                        lambda op, K, seed: seen.append(op) or solve(op, K,
+                                                                     seed))
+    npca_embed(g, K=2)
+    s = 1.0 / np.sqrt(g.degrees().astype(float))
+    old = g.adjacency.astype(float).multiply(s[:, None]) \
+                                   .multiply(s[None, :]).tocsr()
+    for name in ("indptr", "indices", "data"):
+        got, want = getattr(seen[0], name), getattr(old, name)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
 def test_npca_rejects_zero_degree():
     g = from_edges([(0, 1)], n=3)
     with pytest.raises(ValueError, match="isolated"):

@@ -4,6 +4,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.sparse.csgraph import connected_components
@@ -22,6 +23,9 @@ def assert_canonical_01(g):
     adj = g.adjacency
     assert adj.shape == (g.n, g.n)
     assert adj.has_canonical_format
+    # the builders set that flag; a fresh matrix on the same arrays checks it
+    assert sp.csr_matrix((adj.data, adj.indices, adj.indptr),
+                         shape=adj.shape).has_canonical_format
     assert adj.data.dtype == np.int8
     assert (adj.data == 1).all()
 
@@ -120,6 +124,50 @@ def test_from_edges_trailing_isolated_nodes_and_no_edges():
         assert_canonical_01(g)
     with pytest.raises(ValueError, match="m x 2"):
         from_edges([(0, 1, 2)], n=3)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 12).flatmap(lambda n: st.tuples(
+           st.just(n),
+           st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+                    max_size=40) if n else st.just([]),
+           st.integers(0, 4), st.sampled_from([0, 256, 300]))))
+def test_from_edges_matches_dense_oracle(case):
+    # duplicates, reversed pairs and self-loops; one pair 256 or 300 times,
+    # whose int8 sum wraps (to 0 or 44); trailing isolated nodes; no pairs
+    n, pairs, isolated, repeat = case
+    if n > 1:
+        pairs = pairs + [(n - 1, 0)] * repeat
+    size = n + isolated
+    g = from_edges(pairs, n=size)
+    dense = np.zeros((size, size), dtype=np.int8)
+    for u, v in pairs:
+        if u != v:
+            dense[u, v] = dense[v, u] = 1
+    assert np.array_equal(g.adjacency.toarray(), dense)
+    assert_canonical_01(g)
+    # the same arrays and index dtype as scipy's own COO build of both
+    # triangles, with the summed duplicates reset to 1
+    both = np.array([p for p in pairs if p[0] != p[1]],
+                    dtype=np.int64).reshape(-1, 2)
+    coo = sp.csr_matrix((np.ones(2 * len(both), dtype=np.int8),
+                         (np.r_[both[:, 0], both[:, 1]],
+                          np.r_[both[:, 1], both[:, 0]])), shape=(size, size))
+    coo.data[:] = 1
+    for name in ("indptr", "indices", "data"):
+        got, want = getattr(g.adjacency, name), getattr(coo, name)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+    assert np.array_equal(g.degrees(), dense.sum(axis=1))
+    assert g.degrees().dtype == np.int64
+
+
+def test_induced_subgraph_rejects_a_set_that_cuts_an_edge():
+    g = from_edges([(0, 1), (1, 2), (3, 4)], n=5)
+    sub, keep = graph._induced_subgraph(g, [3, 4])
+    assert sub.num_edges == 1 and np.array_equal(keep, [3, 4])
+    for cut in ([0, 1], [1, 3, 4], [2]):
+        with pytest.raises(ValueError, match="not closed"):
+            graph._induced_subgraph(g, cut)
 
 
 def load_by_loop(source):
@@ -238,6 +286,7 @@ def test_detect_large_graph_golden_digest(detect_large_dir):
     adj = g.adjacency
     assert g.n == 46297 and adj.data.dtype == np.int8
     assert adj.has_canonical_format
+    assert adj.indptr.dtype == adj.indices.dtype == np.int32
     digests = {name: hashlib.sha256(np.asarray(getattr(adj, name),
                                                dtype=np.int64).tobytes())
                .hexdigest()[:16] for name in ("indptr", "indices", "data")}
@@ -247,6 +296,43 @@ def test_detect_large_graph_golden_digest(detect_large_dir):
                        "indices": "ddc0c8a3138ec077",
                        "data": "abb3de8b1661cb1c",
                        "original_ids": "ba9e1b218767f6f6"}
+
+
+def cut_digests(sub, keep):
+    """Digests of a cut graph's CSR arrays and index map, as stored."""
+    adj = sub.adjacency
+    assert adj.has_canonical_format
+    assert adj.indptr.dtype == adj.indices.dtype == np.int32
+    assert adj.data.dtype == np.int8 and keep.dtype == np.int64
+    arrays = {"indptr": adj.indptr, "indices": adj.indices, "data": adj.data,
+              "keep": keep}
+    return {name: hashlib.sha256(np.ascontiguousarray(arr).tobytes())
+            .hexdigest()[:16] for name, arr in arrays.items()}
+
+
+@pytest.mark.parametrize("preset, n0, expected", [
+    ("1", 1000, {"indptr": "352847356d7f7c42", "indices": "4b86cdb4407accd0",
+                 "data": "a64790d031e3a62a", "keep": "702746827e553786"}),
+    ("2d", 1499, {"indptr": "bcfd543604415964", "indices": "1ed2bf1972161adb",
+                  "data": "7bfd66f77076ce9f", "keep": "10f4b5b48681b2e8"})])
+def test_remove_isolated_golden_digest(preset, n0, expected):
+    # repetition 0 of the preset's harness draws, cut as the harness cuts it
+    from scorecd.experiments import PRESETS
+    cfg = PRESETS[preset]
+    rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 0]))
+    sub, keep = remove_isolated(sample_adjacency(cfg.model(rng), rng))
+    assert sub.n == n0
+    assert cut_digests(sub, keep) == expected
+
+
+def test_detect_large_giant_component_golden_digest(detect_large_dir):
+    with open(detect_large_dir / "edges.txt") as fh:
+        sub, keep = giant_component(load_edge_list(fh))
+    assert sub.n == 46271
+    assert cut_digests(sub, keep) == {"indptr": "9f6df3bc435165c0",
+                                      "indices": "fe1b41b66c334a14",
+                                      "data": "473bb73c3e2bc0cb",
+                                      "keep": "6609e1e28fd1ea2b"}
 
 
 def test_detect_large_text_takes_the_fast_path(detect_large_dir):
