@@ -1,4 +1,8 @@
 import itertools
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -6,7 +10,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from scorecd import hamming_error
-from scorecd.metrics import summarize
+from scorecd.metrics import _best_perm, summarize
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def oracle_hamming(est, tru, K):
@@ -71,25 +77,56 @@ def exhaustive_best_perm(conf, K):
 def test_assignment_path_equals_exhaustive_tie_rule():
     # confusion entries 0..2 make tied optimal matchings common
     rng = np.random.default_rng(0)
+    confs = [np.array([[c]]) for c in range(3)]
+    confs += [np.zeros((K, K), dtype=np.int64) for K in range(1, 8)]
     for K, trials in ((2, 300), (3, 300), (4, 300), (5, 100), (6, 30), (7, 10)):
-        for _ in range(trials):
-            conf = rng.integers(0, 3, size=(K, K))
-            if not conf.any():
-                continue
-            est, tru = np.nonzero(conf)
-            counts = conf[est, tru]
-            est, tru = np.repeat(est + 1, counts), np.repeat(tru + 1, counts)
-            res = hamming_error(est, tru, K)
-            perm, matched = exhaustive_best_perm(conf, K)
-            assert res.best_perm == perm
-            assert res.mismatches == est.size - matched
+        confs += [rng.integers(0, 3, size=(K, K)) for _ in range(trials)]
+    for conf in confs:
+        K = conf.shape[0]
+        perm, matched = exhaustive_best_perm(conf, K)
+        assert _best_perm(conf) == (perm, matched)
+        if not conf.any():
+            continue  # no nodes to label
+        est, tru = np.nonzero(conf)
+        counts = conf[est, tru]
+        est, tru = np.repeat(est + 1, counts), np.repeat(tru + 1, counts)
+        res = hamming_error(est, tru, K)
+        assert res.best_perm == perm
+        assert res.mismatches == est.size - matched
+
+
+def first_optimal_perm_by_resolving(conf):
+    """Reference for large K, and its trace: fix true labels in turn, each to
+    the lowest estimated label for which an optimal assignment of the rest
+    (scipy's linear_sum_assignment) still reaches the best trace."""
+    from scipy.optimize import linear_sum_assignment
+
+    def best_trace(sub):
+        r, c = linear_sum_assignment(sub, maximize=True)
+        return sub[r, c].sum()
+
+    K = conf.shape[0]
+    best = best_trace(conf)
+    free, fixed, perm = list(range(K)), 0, []
+    for b in range(K):
+        for a in free:
+            rest = [r for r in free if r != a]
+            if fixed + conf[a, b] + best_trace(conf[rest, b + 1:]) == best:
+                break
+        perm.append(a + 1)
+        fixed += conf[a, b]
+        free.remove(a)
+    return tuple(perm), best
 
 
 def test_large_k_uses_assignment(rng):
-    est = rng.integers(1, 10, size=200)
-    tru = est.copy()
-    res = hamming_error(est, tru, K=9)
-    assert res.mismatches == 0
+    for K in (9, 30, 60):
+        for n in (5 * K, 300):  # sparse tables tie often, dense ones rarely
+            est = rng.integers(1, K + 1, size=n)
+            tru = rng.integers(1, K + 1, size=n)
+            res = hamming_error(est, tru, K)
+            assert (res.best_perm, n - res.mismatches) == \
+                first_optimal_perm_by_resolving(res.confusion)
 
 
 def test_confusion_equals_a_pair_count(rng):
@@ -109,6 +146,19 @@ def test_argument_errors():
         hamming_error(np.array([1, 2]), np.array([1]), K=2)
     with pytest.raises(ValueError, match="1..2"):
         hamming_error(np.array([1, 3]), np.array([1, 2]), K=2)
+    with pytest.raises(ValueError, match="estimated labels must be integers"):
+        hamming_error([1.5, 2.9, 1.0], [1, 2, 1], 2)
+    with pytest.raises(ValueError, match="truth labels must be integers"):
+        hamming_error([1, 2, 1], [1, 2, 1.5], 2)
+
+
+def test_import_leaves_scipy_optimize_out():
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    code = ("import sys, scorecd, scorecd.cli; "
+            "print('scipy.optimize' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "False"
 
 
 def test_summarize():
