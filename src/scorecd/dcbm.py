@@ -16,7 +16,7 @@ import numpy as np
 
 from .eigen import _lead_sign, _magnitude_order
 from .errors import DegeneracyError, ModelValidityError
-from .graph import from_edges
+from .graph import _from_upper
 
 DAD_GAP_TOL = 1e-12
 _BLOCK_ENTRIES = 1 << 16  # sample_adjacency draws about this many at once
@@ -34,10 +34,8 @@ class DCBMParams:
         A = np.asarray(self.A, dtype=float)
         theta = np.asarray(self.theta, dtype=float)
         given = np.asarray(self.labels)
-        labels = given.astype(np.int64)
         object.__setattr__(self, "A", A)
         object.__setattr__(self, "theta", theta)
-        object.__setattr__(self, "labels", labels)
         if A.ndim != 2 or A.shape[0] != A.shape[1] or A.size == 0:
             raise ModelValidityError(f"A must be square, got shape {A.shape}")
         if not np.allclose(A, A.T, atol=1e-12):
@@ -46,11 +44,17 @@ class DCBMParams:
             raise ModelValidityError("A must be nonnegative")
         if abs(A.max() - 1.0) > 1e-9:
             raise ModelValidityError(f"max entry of A must be 1, got {A.max():g}")
-        if labels.shape != theta.shape or theta.ndim != 1:
+        if given.shape != theta.shape or theta.ndim != 1:
             raise ModelValidityError(f"need one label per theta entry, got "
-                                     f"{labels.size} for {theta.size}")
-        if np.any((labels < 1) | (labels > self.K) | (labels != given)):
+                                     f"{given.size} for {theta.size}")
+        # checked as given: the cast would turn nan, inf or 1e30 into an
+        # arbitrary integer (nan fails every comparison)
+        if not (given.dtype.kind in "biuf"
+                and np.all((given == np.trunc(given)) & (given >= 1)
+                           & (given <= self.K))):
             raise ModelValidityError(f"labels must be integers in 1..{self.K}")
+        labels = given.astype(np.int64)
+        object.__setattr__(self, "labels", labels)
         sizes = np.bincount(labels, minlength=self.K + 1)[1:]
         if sizes.min() == 0:
             raise ModelValidityError(
@@ -114,8 +118,11 @@ def sample_adjacency(p, rng):
     * A(k_i, k_j), with one uniform per pair drawn in row-major order from
     the Generator `rng`, so its state fixes the graph and its final state.
     The uniforms come in blocks of about _BLOCK_ENTRIES pairs (whole rows),
-    and the probability is computed only where u falls under its row's
-    bound, so the expectation matrix is never materialized.
+    drawn into one reused buffer, and the probability is computed only where
+    u falls under its row's bound, so the expectation matrix is never
+    materialized.  Each such candidate gets its row once, and the hits come
+    out row by row with sorted columns: the upper triangle in CSR form,
+    which graph._from_upper mirrors into the Graph with no pairs or sort.
     """
     n = p.n
     lab0 = p.labels - 1
@@ -130,27 +137,27 @@ def sample_adjacency(p, rng):
     # a block is the rows whose ends fall in one _BLOCK_ENTRIES window
     window = ends // _BLOCK_ENTRIES
     starts = np.flatnonzero(np.diff(window, prepend=-1)).tolist()
-    counts, cols = [], []
+    # a block's rows end in one window, so it holds under _BLOCK_ENTRIES
+    # entries plus its first row's; every block draws into this buffer
+    uniforms = np.empty(_BLOCK_ENTRIES + n)
+    row_len = np.zeros(n + 1, dtype=np.int64)  # row_len[i + 1]: row i's edges
+    cols = []
     for r0, r1 in zip(starts, starts[1:] + [n - 1]):
         row_ends = ends[r0:r1] - (ends[r0] - lengths[r0])  # within the block
-        u = rng.random(int(row_ends[-1]))
+        u = uniforms[:row_ends[-1]]
+        rng.random(out=u)
         cand = np.flatnonzero(u < np.repeat(bound[r0:r1], lengths[r0:r1]))
-        per_row = _per_row(cand, row_ends)
-        j = cand + np.repeat(n - row_ends, per_row)
-        probs = ((np.repeat(theta[r0:r1], per_row) * theta[j])
-                 * a_rows[np.repeat(lab0[r0:r1] * n, per_row) + j])
-        hit = u[cand] < probs
-        counts.append(_per_row(cand[hit], row_ends))
+        # each candidate's row within the block
+        ri = np.repeat(np.arange(r1 - r0),
+                       np.diff(np.searchsorted(cand, row_ends), prepend=0))
+        j = cand + (n - row_ends)[ri]
+        probs = ((theta[r0:r1][ri] * theta[j])
+                 * a_rows[(lab0[r0:r1] * n)[ri] + j])
+        hit = np.flatnonzero(u[cand] < probs)
+        row_len[r0 + 1:r1 + 1] = np.bincount(ri[hit], minlength=r1 - r0)
         cols.append(j[hit])
-    if not cols:  # n = 1
-        return from_edges((), n)
-    rows = np.repeat(np.arange(n - 1), np.concatenate(counts))
-    return from_edges(np.column_stack([rows, np.concatenate(cols)]), n)
-
-
-def _per_row(flat, row_ends):
-    """How many of the sorted flat positions `flat` fall in each row."""
-    return np.diff(np.searchsorted(flat, row_ends), prepend=0)
+    indices = np.concatenate(cols) if cols else row_len[:0]  # n = 1: none
+    return _from_upper(np.cumsum(row_len), indices, n)
 
 
 _THETA_PARAM_NAMES = {

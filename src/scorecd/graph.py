@@ -4,6 +4,9 @@ Graphs are immutable after construction.  Node tokens from edge-list files are
 remapped to dense indices 0..n-1 in first-appearance order; the mapping is kept
 in ``original_ids`` so results can be reported against the source labels.  The
 edge-list and label readers take an open text file and read it whole.
+``from_edges`` is the one builder: it reduces its pairs to the upper triangle
+and hands that to ``_from_upper``, the symmetric assembly the DCBM sampler
+also feeds its rows to directly.
 """
 
 import io
@@ -44,9 +47,9 @@ def from_edges(edges, n, original_ids=None):
     Self-loops are dropped and duplicate or reversed pairs collapse to one
     edge, so the adjacency is symmetric 0/1 (int8) CSR in canonical format,
     with int32 indices unless its entry count needs int64.  Indices must lie
-    in [0, n); nodes no pair names are isolated.  Only the upper triangle is
-    built by sorting, and scipy skips the sort when the pairs come sorted
-    and unique, as the sampler's do; the rest is linear.
+    in [0, n); nodes no pair names are isolated.  Each pair becomes
+    (min, max), scipy's COO constructor sorts and merges them into the upper
+    triangle, and _from_upper mirrors it in linear time.
     """
     pairs = np.asarray(edges, dtype=np.int64)
     if pairs.size == 0:
@@ -61,16 +64,29 @@ def from_edges(edges, n, original_ids=None):
     # sparsity pattern of `upper` is read
     upper = sp.csr_matrix((np.ones(np.count_nonzero(edge), dtype=np.int8),
                            (lo[edge], hi[edge])), shape=(n, n))
+    return _from_upper(upper.indptr, upper.indices, n, original_ids)
+
+
+def _from_upper(indptr, indices, n, original_ids=None):
+    """Build a Graph on nodes 0..n-1 from its upper triangle in CSR form.
+
+    Row r of the upper triangle is indices[indptr[r]:indptr[r + 1]], which
+    must be sorted, unique and above r; the Graph is from_edges' on those
+    pairs.  The transpose gives the lower triangle, and each row of the
+    adjacency is its lower entries then its upper ones, so no sort runs.
+    """
+    upper = sp.csr_matrix((np.ones(len(indices), dtype=np.int8), indices,
+                           indptr), shape=(n, n))
     lower = upper.T.tocsr()
     # row r is row r of `lower` (columns below r), then row r of `upper`
     within = np.arange(upper.nnz)
-    indices = np.empty(2 * upper.nnz, dtype=upper.indices.dtype)
-    indices[within + np.repeat(upper.indptr[:-1], np.diff(lower.indptr))] = \
+    both = np.empty(2 * upper.nnz, dtype=upper.indices.dtype)
+    both[within + np.repeat(upper.indptr[:-1], np.diff(lower.indptr))] = \
         lower.indices
-    indices[within + np.repeat(lower.indptr[1:], np.diff(upper.indptr))] = \
+    both[within + np.repeat(lower.indptr[1:], np.diff(upper.indptr))] = \
         upper.indices
     # summed in int64, which cannot wrap; the constructor narrows what fits
-    adj = sp.csr_matrix((np.ones(indices.size, dtype=np.int8), indices,
+    adj = sp.csr_matrix((np.ones(both.size, dtype=np.int8), both,
                          lower.indptr.astype(np.int64) + upper.indptr),
                         shape=(n, n))
     adj.has_canonical_format = True

@@ -29,13 +29,14 @@ class HammingResult:
 
 def _labels(given, name, K):
     """`given` (not empty) as int64, or ValueError unless each entry is an
-    integer in 1..K."""
-    labels = given.astype(np.int64)
-    if np.any(labels != given):
+    integer in 1..K.  Both checks read the values as given: the cast would
+    turn nan, inf or 1e30 into an arbitrary integer."""
+    if not (given.dtype.kind in "biuf"
+            and np.all(given == np.trunc(given))):  # nan fails
         raise ValueError(f"{name} labels must be integers")
-    if labels.min() < 1 or labels.max() > K:
+    if given.min() < 1 or given.max() > K:
         raise ValueError(f"{name} labels must lie in 1..{K}")
-    return labels
+    return given.astype(np.int64)
 
 
 def _confusion(estimated, truth, K):

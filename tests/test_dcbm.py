@@ -1,5 +1,6 @@
 import hashlib
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -91,6 +92,16 @@ def test_labels_must_match_the_declared_community_sizes(call, A, labels,
     call(DCBMParams(A=_A2, theta=theta, labels=[1, 1, 1, 2, 2, 2]))
     with pytest.raises(ModelValidityError, match=match):
         DCBMParams(A=A, theta=theta, labels=labels)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 1e30],
+                         ids=["nan", "inf", "-inf", "1e30"])
+def test_labels_with_no_int64_value_are_model_errors(bad):
+    # checked before the cast, which would warn about an invalid value
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ModelValidityError, match=r"integers in 1\.\.1"):
+            DCBMParams(A=[[1.0]], theta=[0.5, 0.5], labels=[bad, 1])
 
 
 def test_sample_empty_when_offdiagonal_rates_vanish(rng):

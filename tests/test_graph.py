@@ -1,11 +1,12 @@
 import hashlib
 import io
+import itertools
 from unittest import mock
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.sparse.csgraph import connected_components
 
@@ -159,6 +160,38 @@ def test_from_edges_matches_dense_oracle(case):
         assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
     assert np.array_equal(g.degrees(), dense.sum(axis=1))
     assert g.degrees().dtype == np.int64
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 10).flatmap(lambda n: st.tuples(
+           st.just(n),
+           st.lists(st.booleans(), min_size=n * (n - 1) // 2,
+                    max_size=n * (n - 1) // 2),
+           st.none() | st.integers(0, n - 1),
+           st.integers(0, 3))))
+@example((1, [], None, 0))                       # n = 1
+@example((5, [False] * 10, None, 0))             # no edges
+@example((4, [True, False, True, True, False, True], None, 3))
+@example((6, [False] * 15, 0, 0))                # row 0 meets every node
+@example((6, [True] * 15, 2, 2))
+def test_from_upper_matches_from_edges(case):
+    # the sampler's form: sorted unique columns above the diagonal, row by
+    # row, in int64 arrays; the assembly must give from_edges' Graph
+    n, mask, full, isolated = case
+    pairs = [p for p, keep in zip(itertools.combinations(range(n), 2), mask)
+             if keep or p[0] == full]
+    size = n + isolated
+    indptr = np.cumsum(np.bincount(
+        np.array([i + 1 for i, _ in pairs], dtype=np.int64),
+        minlength=size + 1))
+    indices = np.array([j for _, j in pairs], dtype=np.int64)
+    got = graph._from_upper(indptr, indices, size)
+    want = from_edges(pairs, size)
+    assert got.n == want.n and got.original_ids == want.original_ids
+    for name in ("indptr", "indices", "data"):
+        a, b = getattr(got.adjacency, name), getattr(want.adjacency, name)
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+    assert_canonical_01(got)
 
 
 def test_induced_subgraph_rejects_a_set_that_cuts_an_edge():

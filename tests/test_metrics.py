@@ -1,7 +1,9 @@
 import itertools
+import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -150,6 +152,20 @@ def test_argument_errors():
         hamming_error([1.5, 2.9, 1.0], [1, 2, 1], 2)
     with pytest.raises(ValueError, match="truth labels must be integers"):
         hamming_error([1, 2, 1], [1, 2, 1.5], 2)
+
+
+@pytest.mark.parametrize("bad,match", [
+    (math.nan, "must be integers"), (math.inf, r"must lie in 1\.\.2"),
+    (-math.inf, r"must lie in 1\.\.2"), (1e30, r"must lie in 1\.\.2")],
+    ids=["nan", "inf", "-inf", "1e30"])
+def test_labels_with_no_int64_value_raise_value_error(bad, match):
+    # checked before the cast, which would warn about an invalid value
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="estimated labels " + match):
+            hamming_error([bad, 1.0], [1, 2], 2)
+        with pytest.raises(ValueError, match="truth labels " + match):
+            hamming_error([1, 2], [1.0, bad], 2)
 
 
 def test_import_leaves_scipy_optimize_out():
