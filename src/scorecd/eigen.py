@@ -9,6 +9,11 @@ through a dense symmetric eigendecomposition instead, which also serves as the
 exactness reference in the test suite; tests that need ARPACK on a small
 matrix lower DENSE_CUTOFF.  Both paths recompute every residual and share one
 ordering and one sign convention.
+
+A sparse operator is float64 CSR on the adjacency's own indptr and indices;
+a float64 CSR operator, such as npca's normalized one, is used as given.
+ARPACK's matvec is that matrix's CSR product behind a bare LinearOperator,
+and the residual check takes one such product per vector.
 """
 
 from dataclasses import dataclass
@@ -52,14 +57,34 @@ class Spectrum:
 
 
 def _as_operator(op):
-    """The float matrix (CSR or dense ndarray) behind an accepted operator."""
+    """The float matrix (CSR or dense ndarray) behind an accepted operator.
+
+    A float64 CSR matrix is used as given; any other canonical CSR matrix
+    keeps its indptr and indices and converts only its data.
+    """
     if hasattr(op, "adjacency"):  # Graph
         op = op.adjacency
     if sp.issparse(op):
-        return op.tocsr().astype(float)
+        op = op.tocsr()
+        if op.dtype == np.float64:
+            return op
+        if not op.has_canonical_format:
+            return op.astype(float)  # sums duplicate entries into one
+        return sp.csr_matrix((op.data.astype(float), op.indices, op.indptr),
+                             shape=op.shape)
     if isinstance(op, np.ndarray):
         return np.asarray(op, dtype=float)
     raise TypeError(f"unsupported operator type: {type(op).__name__}")
+
+
+def _apply(mat, vecs):
+    """mat @ vecs, one single-vector product per column when mat is sparse."""
+    if not sp.issparse(mat):
+        return mat @ vecs
+    out = np.empty(vecs.shape)
+    for k in range(vecs.shape[1]):
+        out[:, k] = mat @ vecs[:, k]
+    return out
 
 
 def _lead_sign(v):
@@ -110,15 +135,18 @@ def leading_eigs(op, K, seed=0):
         vals, vecs = np.linalg.eigh(mat.toarray() if sp.issparse(mat) else mat)
     else:
         v0 = np.random.default_rng(seed).random(n)
+        linop = (spla.LinearOperator(mat.shape, matvec=mat.__matmul__,
+                                     dtype=float)
+                 if sp.issparse(mat) else mat)
         try:
-            vals, vecs = spla.eigsh(mat, k=K, which="LM", tol=tol, v0=v0,
+            vals, vecs = spla.eigsh(linop, k=K, which="LM", tol=tol, v0=v0,
                                     maxiter=max_iter)
         except spla.ArpackNoConvergence as exc:
             found = exc.eigenvectors.shape[1]
             residuals = np.full(K, np.inf)
             residuals[:found] = np.linalg.norm(
-                mat @ exc.eigenvectors - exc.eigenvectors * exc.eigenvalues,
-                axis=0)
+                _apply(mat, exc.eigenvectors)
+                - exc.eigenvectors * exc.eigenvalues, axis=0)
             raise NonConvergenceError(
                 f"eigensolver did not reach tol={tol:g} within {max_iter} "
                 f"restarts ({found} of {K} pairs converged; residuals: "
@@ -128,7 +156,7 @@ def leading_eigs(op, K, seed=0):
     order = _magnitude_order(vals, tol)[:K]
     vals = vals[order]
     vecs = vecs[:, order] * [_lead_sign(vecs[:, i]) for i in order]
-    residuals = np.linalg.norm(mat @ vecs - vecs * vals, axis=0)
+    residuals = np.linalg.norm(_apply(mat, vecs) - vecs * vals, axis=0)
     if np.any(residuals > tol * np.maximum(1.0, np.abs(vals))):
         raise NonConvergenceError(
             f"eigenpairs miss tol={tol:g} (residuals: "

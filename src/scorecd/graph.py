@@ -137,7 +137,7 @@ def load_edge_list(source):
 
 
 def _pair_tokens(buf, token):
-    """Token starts and ends of a text whose every line holds none or two.
+    """Token starts of a text whose every line holds none or two tokens.
 
     `buf` holds the text's bytes and `token` flags its token bytes, padded
     with a False at each end; every other byte must be a blank (space, tab,
@@ -145,13 +145,12 @@ def _pair_tokens(buf, token):
     tokens or with a line of one, three or more tokens.
     """
     starts = np.flatnonzero(token[1:] > token[:-1])
-    if starts.size == 0 or starts.size % 2:
+    if starts.size == 0:
         return None
-    line = np.searchsorted(np.flatnonzero(buf == ord("\n")), starts)
-    paired = ((line[0::2] == line[1::2]).all()
-              and (line[1:-1:2] < line[2::2]).all())
-    del line
-    return (starts, np.flatnonzero(token[:-1] > token[1:])) if paired else None
+    # tokens before each line feed, then per line (the last line may lack one)
+    before = np.searchsorted(starts, np.flatnonzero(buf == ord("\n")))
+    counts = np.diff(before, prepend=0, append=starts.size)
+    return starts if ((counts == 0) | (counts == 2)).all() else None
 
 
 def _integer_edges(text):
@@ -159,13 +158,14 @@ def _integer_edges(text):
 
     Applies only when `text` is ASCII digits and blanks (space, tab, CR, LF),
     every non-blank line holds two tokens, and every token is a canonical
-    decimal: at most 18 digits (np.fromstring saturates at the int64 limit)
-    and no leading zero ('07' and '7' are different nodes).  Then a token and
-    its value name the same node, and the indices and ids equal the line
-    loop's.  Any other text, including one without tokens, returns None.
-    Nodes are numbered by first appearance through a table indexed by value;
-    values at or above the token count are first replaced by their rank
-    among the distinct values, so the table stays below it.
+    decimal: no leading zero ('07' and '7' are different nodes) and a value
+    below 10**18, which a canonical token has exactly when it has at most 18
+    digits (np.fromstring saturates longer ones at the int64 limit).  Then a
+    token and its value name the same node, and the indices and ids equal
+    the line loop's.  Any other text, including one without tokens, returns
+    None.  Nodes are numbered by first appearance through a table indexed by
+    value; values at or above the token count are first replaced by their
+    rank among the distinct values, so the table stays below it.
     """
     if not text.isascii():
         return None
@@ -179,20 +179,18 @@ def _integer_edges(text):
     if not allowed.all():
         return None
     del allowed
-    tokens = _pair_tokens(buf, digit)
-    del digit
-    if tokens is None:
+    starts = _pair_tokens(buf, digit)
+    # a leading zero is a token starting with '0' whose next byte is a digit
+    if starts is None or ((buf[starts] == ord("0")) & digit[starts + 2]).any():
         return None
-    starts, lengths = tokens
-    lengths -= starts
-    if (lengths.max() > 18
-            or ((buf[starts] == ord("0")) & (lengths > 1)).any()):
-        return None
-    del buf, starts, lengths, tokens
+    del buf, digit, starts
     values = np.fromstring(text, dtype=np.int64, sep=" ")
+    top = values.max()
+    if top >= 10**18:
+        return None
     n = values.size
     distinct = None
-    if values.max() >= n:
+    if top >= n:
         # too large for a table: each value becomes its rank among the
         # distinct values, which names the same nodes in the same order
         distinct, values = np.unique(values, return_inverse=True)
@@ -266,12 +264,15 @@ def giant_component(g):
 def remove_isolated(g):
     """Drop all degree-0 nodes, re-indexing the rest.
 
-    Returns the reduced graph and the new-to-old index map.  Raises if nothing
-    survives.
+    Returns the reduced graph and the new-to-old index map.  A graph with no
+    isolated node comes back as itself, with the identity map.  Raises if
+    nothing survives.
     """
     keep = np.nonzero(g.degrees() > 0)[0]
     if keep.size == 0:
         raise DataError("empty graph after preprocessing: all nodes are isolated")
+    if keep.size == g.n:
+        return g, keep
     return _induced_subgraph(g, keep)
 
 

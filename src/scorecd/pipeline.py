@@ -78,10 +78,11 @@ def run_method(graph, spectrum, method, K, T_n=None, seed=0, restarts=None,
 
     `spectrum` must hold the K leading eigenpairs of `graph`; it is shared by
     the ratio, q-norm and ordinary-PCA routes, while 'npca' ignores it and
-    decomposes the degree-normalized operator itself.  `threshold` applies
-    simple 1-D thresholding instead of k-means (ratio method, K = 2 only);
-    without it, a score run with K = 2 reports the threshold its k-means
-    split implies.  `restarts` and `init` tune the clustering step.
+    decomposes the degree-normalized operator itself.  `threshold`, a finite
+    number, applies simple 1-D thresholding instead of k-means (ratio
+    method, K = 2 only); without it, a score run with K = 2 reports the
+    threshold its k-means split implies.  `restarts` and `init` tune the
+    clustering step.
     """
     kind, q, canonical = parse_method(method)
     if restarts is None:
@@ -91,6 +92,8 @@ def run_method(graph, spectrum, method, K, T_n=None, seed=0, restarts=None,
                             method=canonical)
     if threshold is not None and not (kind == "score" and K == 2):
         raise ValueError("threshold classification needs method=score and K=2")
+    if threshold is not None and not math.isfinite(threshold):
+        raise ValueError(f"threshold must be finite, got {threshold:g}")
 
     ratio = None
     if kind == "score":

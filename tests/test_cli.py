@@ -120,6 +120,15 @@ def test_detect_threshold_must_be_a_number():
     assert result.exit_code == 2
 
 
+@pytest.mark.parametrize("t", ["nan", "inf", "-inf"])
+def test_detect_rejects_a_threshold_that_is_not_finite(t):
+    result = CliRunner().invoke(main, ["detect", "--input", "builtin:karate",
+                                       "--k", "2", "--threshold", t,
+                                       "--json"])
+    assert result.exit_code == 2
+    assert f"threshold must be finite, got {t}" in result.output
+
+
 def test_detect_csv_labels(tmp_path):
     out = tmp_path / "labels.csv"
     res = run("detect", "--input", "builtin:karate", "--k", "2", "--csv",

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from scorecd import eigen, leading_eigs
 from scorecd.dcbm import DCBMParams, block_labels, sample_adjacency
@@ -104,6 +105,42 @@ def test_perron_pair_first_on_bipartite_ties(n, cycle):
     assert spec.values[0] > 0
     assert (spec.pairs[0].vector > 0).all()
     assert spec.values[1] == pytest.approx(-spec.values[0])
+
+
+def test_operator_shares_the_adjacency_index_arrays(rng):
+    params = DCBMParams(A=np.array([[1.0, 0.5], [0.5, 1.0]]),
+                        theta=rng.uniform(0.2, 0.6, size=60),
+                        labels=block_labels((30, 30)))
+    g = sample_adjacency(params, rng)
+    adj = g.adjacency
+    mat = eigen._as_operator(g)
+    assert adj.dtype == np.int8
+    assert sp.isspmatrix_csr(mat) and mat.dtype == np.float64
+    assert np.shares_memory(mat.indices, adj.indices)
+    assert np.shares_memory(mat.indptr, adj.indptr)
+    assert np.array_equal(mat.toarray(), adj.toarray())
+    normalized = adj.astype(float)
+    assert eigen._as_operator(normalized) is normalized
+    # a non-canonical integer CSR still has its duplicate entries summed
+    dup = sp.csr_matrix((np.array([1, 1, 1], dtype=np.int32),
+                         np.array([1, 1, 0]), np.array([0, 2, 3])),
+                        shape=(2, 2))
+    dup.has_canonical_format = False
+    summed = eigen._as_operator(dup)
+    assert summed.nnz == 2
+    assert summed.toarray().tolist() == [[0.0, 2.0], [1.0, 0.0]]
+
+
+def test_arpack_residuals_are_the_csr_products(rng, monkeypatch):
+    params = DCBMParams(A=np.array([[1.0, 0.4], [0.4, 1.0]]),
+                        theta=rng.uniform(0.1, 0.5, size=300),
+                        labels=block_labels((150, 150)))
+    g, _ = giant_component(sample_adjacency(params, rng))
+    monkeypatch.setattr(eigen, "DENSE_CUTOFF", 0)  # ARPACK
+    spec = leading_eigs(g, K=3, seed=4)
+    A, V, vals = g.adjacency.astype(float), spec.vectors, spec.values
+    expected = np.linalg.norm(A @ V - V * vals, axis=0)
+    assert [p.residual for p in spec.pairs] == expected.tolist()
 
 
 def test_argument_and_convergence_errors(rng, monkeypatch):

@@ -423,6 +423,7 @@ def test_remove_isolated_star_plus_isolates():
 def test_remove_isolated_identity_when_clean():
     g = load("1 2\n2 3\n")
     sub, idx = remove_isolated(g)
+    assert sub is g
     assert sub.n == 3
     assert np.array_equal(idx, np.arange(3))
 

@@ -1,3 +1,4 @@
+import math
 from types import SimpleNamespace
 
 import numpy as np
@@ -73,6 +74,14 @@ def test_threshold_requires_score_and_k2(sampled_graph):
     spectrum = leading_eigs(g, 2, seed=1)
     with pytest.raises(ValueError, match="threshold"):
         run_method(g, spectrum, "opca", K=2, threshold=0.0)
+
+
+@pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf])
+def test_threshold_must_be_finite(sampled_graph, t):
+    g, _ = sampled_graph
+    spectrum = leading_eigs(g, 2, seed=1)
+    with pytest.raises(ValueError, match=f"threshold must be finite, got {t}"):
+        run_method(g, spectrum, "score", K=2, threshold=t)
 
 
 def test_single_community_shortcut(sampled_graph):
