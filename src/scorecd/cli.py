@@ -172,6 +172,7 @@ def main():
 def detect(input_spec, labels, k, method, threshold, tn, restarts, seed,
            as_json, as_csv, out):
     """Detect communities in a real network (giant component is used)."""
+    pipeline.check_method(method, k, threshold)
     clock = pipeline.StageClock()
     g_raw, builtin_labels = _load_graph(input_spec)
     clock.lap("load")

@@ -7,10 +7,27 @@ Repetition r draws its randomness from (master seed, r) and each method's
 k-means stream from (master seed, r, method), so all methods within a
 repetition see the identical graph and any repetition range reproduces
 bit-for-bit, in any execution order.
+
+The repetitions run on the usable cores (os.sched_getaffinity, so
+`taskset -c 0` gives one worker): each worker takes a contiguous run of
+them, this process the first and a forked child each other one.  While
+they run, every loaded OpenBLAS is pinned to one thread, set in this
+process before the forks.  When the workers end, the caller's thread
+counts come back, because a process-wide pin would slow, and change the
+bits of, eigensolves on large graphs; the BLAS threads that restoring
+starts are stopped, so none spins after the call.  The stage seconds of
+RunReport.clock are summed over the workers, so they can exceed the
+elapsed time.
 """
 
+import ctypes
+import functools
 import json
 import math
+import os
+import pickle
+import signal
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -204,8 +221,9 @@ class RunReport:
         return "\n".join(lines) + "\n"
 
 
-def _run_repetition(cfg, master, r, T_n, restarts, clustering, clock):
-    """Survivor count and, per method, (mismatches, KMeansResult or None)."""
+def _run_repetition(cfg, master, T_n, restarts, clustering, r, clock):
+    """Survivor count and, per method, (mismatches, k-means runs made, runs
+    ending at the best cost); the run counts are None where no k-means ran."""
     rng = np.random.default_rng(np.random.SeedSequence([master, r]))
     params = cfg.model(rng)
     g = dcbm.sample_adjacency(params, rng)
@@ -221,9 +239,138 @@ def _run_repetition(cfg, master, r, T_n, restarts, clustering, clock):
         res = pipeline.run_method(g0, spectrum, m, cfg.K, T_n=T_n,
                                   seed=derived_seed(master, r, m), **knobs)
         ham = metrics.hamming_error(res.labels, truth0, cfg.K)
-        out[m] = (ham.mismatches, res.kmeans)
+        km = res.kmeans
+        out[m] = (ham.mismatches, getattr(km, "restarts_used", None),
+                  getattr(km, "restarts_at_best", None))
         clock.lap(m)
     return g0.n, out
+
+
+# thread-count getter and setter of the OpenBLAS builds numpy and scipy ship
+# (64-bit and 32-bit integers)
+_OPENBLAS_THREADS = (
+    ("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
+    ("scipy_openblas_get_num_threads", "scipy_openblas_set_num_threads"),
+)
+
+
+@functools.cache
+def _openblas_threads():
+    """(get, set, shutdown) of each loaded OpenBLAS.
+
+    get and set read and write its thread count.  shutdown stops its worker
+    threads, as OpenBLAS's own handler does before every fork; its next
+    threaded call starts them again.  Found through /proc/self/maps; empty
+    where that file or the symbols are missing.  Libraries stay loaded, so
+    the lookup is made once.
+    """
+    try:
+        with open("/proc/self/maps") as fh:
+            paths = {line.split()[-1] for line in fh}
+    except OSError:
+        return ()
+    found = []
+    for path in sorted(p for p in paths if "openblas" in os.path.basename(p)):
+        lib = ctypes.CDLL(path)
+        for names in _OPENBLAS_THREADS:
+            names += ("blas_thread_shutdown_",)
+            if all(hasattr(lib, name) for name in names):
+                get, set_, shutdown = (getattr(lib, name) for name in names)
+                get.argtypes, get.restype = [], ctypes.c_int
+                set_.argtypes, set_.restype = [ctypes.c_int], None
+                shutdown.argtypes, shutdown.restype = [], ctypes.c_int
+                found.append((get, set_, shutdown))
+                break
+    return tuple(found)
+
+
+def _fork_chunk(run, reps):
+    """Start a child that runs repetitions `reps`; returns its pid and the
+    read end of its pipe.
+
+    The child pickles (outcomes, stage seconds, error) onto the pipe: the
+    outcomes of the repetitions before the first that raised, and that
+    error or None.
+    """
+    read_fd, write_fd = os.pipe()
+    pid = os.fork()
+    if pid == 0:
+        try:
+            os.close(read_fd)
+            clock, done, error = pipeline.StageClock(), [], None
+            try:
+                for r in reps:
+                    done.append(run(r, clock))
+            except Exception as exc:
+                error = exc
+            data = pickle.dumps((done, clock.stages, error))
+            with os.fdopen(write_fd, "wb") as fh:
+                fh.write(data)
+        finally:
+            os._exit(0)  # never return into the caller's stack
+    os.close(write_fd)
+    return pid, os.fdopen(read_fd, "rb")
+
+
+def _outcomes(run, n_reps, clock, progress):
+    """[run(r, clock) for r in range(n_reps)], on one worker per usable core.
+
+    range(n_reps) is split into contiguous chunks, one per worker; this
+    process runs the first and a forked child each other one.  Every loaded
+    OpenBLAS runs one thread meanwhile, so the workers do not compete with
+    its threads, and gets its count back afterwards.  There is one chunk
+    without a thread setter, or while other threads run in this process.
+    Children's stage seconds are added to `clock`; `progress` ticks each
+    repetition in index order; a failure raises the error of the lowest
+    failing repetition.  Every child is reaped before this returns.
+    """
+    workers = min(n_reps, len(os.sched_getaffinity(0)))
+    if threading.active_count() > 1:
+        # a child holds only the forking thread: a lock another thread held
+        # at the fork would never be released there
+        workers = 1
+    blas = _openblas_threads() if workers > 1 else ()
+    if not blas:
+        workers = 1
+    bounds = [n_reps * w // workers for w in range(workers + 1)]
+    chunks = [range(a, b) for a, b in zip(bounds, bounds[1:])]
+    saved = [get() for get, _, _ in blas]
+    children = []
+    try:
+        for _, set_, _ in blas:
+            set_(1)
+        for reps in chunks[1:]:
+            children.append(_fork_chunk(run, reps))
+        outcomes = []
+        for r in chunks[0]:
+            outcomes.append(run(r, clock))
+            if progress is not None:
+                progress(r)
+        for (_, fh), reps in zip(children, chunks[1:]):
+            data = fh.read()
+            if not data:
+                raise RuntimeError(f"the worker of repetitions {reps.start}-"
+                                   f"{reps.stop - 1} exited without a result")
+            done, stages, error = pickle.loads(data)
+            for stage, seconds in stages.items():
+                clock.stages[stage] = clock.stages.get(stage, 0.0) + seconds
+            for out in done:
+                outcomes.append(out)
+                if progress is not None:
+                    progress(len(outcomes) - 1)
+            if error is not None:
+                raise error
+        return outcomes
+    finally:
+        for pid, fh in children:  # a child still running only on failure
+            fh.close()
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+        for (_, set_, shutdown), count in zip(blas, saved):
+            set_(count)
+            # setting the count starts the worker threads, which would spin
+            # on the other cores for ~0.1 s and slow what the caller runs next
+            shutdown()
 
 
 def run_experiment(cfg, seed=None, reps=None, T_n=math.inf,
@@ -233,7 +380,8 @@ def run_experiment(cfg, seed=None, reps=None, T_n=math.inf,
     The ratio truncation is off by default (T_n = inf), matching how the
     simulations are scored; pass a finite T_n to re-enable it.  Methods are
     clustered with the CLUSTERING_DEFAULTS overrides, or all alike with the
-    multi-restart optimizer under `uniform_clustering`.
+    multi-restart optimizer under `uniform_clustering`.  The repetitions
+    run on the usable cores (see the module docstring).
     """
     master = cfg.seed if seed is None else int(seed)
     n_reps = cfg.rep if reps is None else int(reps)
@@ -243,25 +391,18 @@ def run_experiment(cfg, seed=None, reps=None, T_n=math.inf,
               else dict(CLUSTERING_DEFAULTS))
 
     clock = pipeline.StageClock()
-    n0, outcomes = [], []
-    for r in range(n_reps):
-        n, out = _run_repetition(cfg, master, r, T_n, restarts, policy, clock)
-        n0.append(n)
-        outcomes.append(out)
-        if progress is not None:
-            progress(r)
+    run = functools.partial(_run_repetition, cfg, master, T_n, restarts,
+                            policy)
+    n0, outcomes = zip(*_outcomes(run, n_reps, clock, progress))
 
     mismatches, rates, means, sds, at_best, used = {}, {}, {}, {}, {}, {}
     for m in cfg.methods:
-        counts, kms = zip(*(out[m] for out in outcomes))
-        mismatches[m] = counts
-        rates[m] = tuple(count / n for count, n in zip(counts, n0))
+        mismatches[m], used[m], at_best[m] = zip(*(out[m] for out in outcomes))
+        rates[m] = tuple(count / n for count, n in zip(mismatches[m], n0))
         means[m], sds[m] = metrics.summarize(rates[m])
-        at_best[m] = tuple(getattr(km, "restarts_at_best", None) for km in kms)
-        used[m] = tuple(getattr(km, "restarts_used", None) for km in kms)
     times = clock.totals()
     del times["total"]  # reported per method and shared step only
-    return RunReport(config=cfg, seed=master, n0=tuple(n0),
+    return RunReport(config=cfg, seed=master, n0=n0,
                      mismatches=mismatches, rates=rates, means=means, sds=sds,
                      clock=times, clustering=policy,
                      restarts_at_best=at_best, restarts_used=used)

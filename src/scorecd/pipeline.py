@@ -34,6 +34,22 @@ def parse_method(spec_str):
                      "scoreq:<q>, opca or npca")
 
 
+def check_method(method, K, threshold=None):
+    """parse_method(method), after checking that `threshold` can apply.
+
+    A threshold must be finite and needs method score and K = 2; at K = 1,
+    where every node gets label 1, it is ignored.  Raises ValueError.
+    """
+    kind, q, canonical = parse_method(method)
+    if threshold is not None and K != 1:
+        if not (kind == "score" and K == 2):
+            raise ValueError("threshold classification needs method=score "
+                             "and K=2")
+        if not math.isfinite(threshold):
+            raise ValueError(f"threshold must be finite, got {threshold:g}")
+    return kind, q, canonical
+
+
 class StageClock:
     """Seconds spent in each stage of one run, plus their total."""
 
@@ -84,16 +100,12 @@ def run_method(graph, spectrum, method, K, T_n=None, seed=0, restarts=None,
     threshold its k-means split implies.  `restarts` and `init` tune the
     clustering step.
     """
-    kind, q, canonical = parse_method(method)
+    kind, q, canonical = check_method(method, K, threshold)
     if restarts is None:
         restarts = cluster.DEFAULT_RESTARTS
     if K == 1:
         return MethodResult(labels=np.ones(graph.n, dtype=np.int64),
                             method=canonical)
-    if threshold is not None and not (kind == "score" and K == 2):
-        raise ValueError("threshold classification needs method=score and K=2")
-    if threshold is not None and not math.isfinite(threshold):
-        raise ValueError(f"threshold must be finite, got {threshold:g}")
 
     ratio = None
     if kind == "score":

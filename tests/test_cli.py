@@ -129,6 +129,19 @@ def test_detect_rejects_a_threshold_that_is_not_finite(t):
     assert f"threshold must be finite, got {t}" in result.output
 
 
+@pytest.mark.parametrize("extra, message", [
+    (("--threshold", "nan"), "threshold must be finite, got nan"),
+    (("--threshold", "0", "--method", "opca"),
+     "threshold classification needs method=score and K=2"),
+])
+def test_detect_checks_the_threshold_before_reading_input(extra, message):
+    result = CliRunner().invoke(main, ["detect", "--input",
+                                       "does-not-exist.txt", "--k", "2",
+                                       *extra])
+    assert result.exit_code == 2  # not 3, the missing input
+    assert message in result.output
+
+
 def test_detect_csv_labels(tmp_path):
     out = tmp_path / "labels.csv"
     res = run("detect", "--input", "builtin:karate", "--k", "2", "--csv",

@@ -1,12 +1,16 @@
 import json
+import os
+import threading
 
 import numpy as np
 import pytest
 
+from scorecd import eigen, experiments
 from scorecd.dcbm import ThetaPattern
 from scorecd.experiments import (PRESETS, ExperimentConfig, RunReport,
                                  config_from_text, run_experiment)
-from scorecd.errors import ParseError
+from scorecd.errors import NonConvergenceError, ParseError
+from scorecd.seeding import derived_seed
 
 
 def test_preset_table_matches_published_settings():
@@ -227,3 +231,140 @@ def test_finite_truncation_still_runs():
     report = run_experiment(tiny_config(methods=("score",)), restarts=10,
                             T_n=1e-6)
     assert all(0.0 <= r <= 1.0 for r in report.rates["score"])
+
+
+def _cores(monkeypatch, count):
+    """Make run_experiment see `count` usable cores; returns the list of
+    children it forks."""
+    monkeypatch.setattr(experiments.os, "sched_getaffinity",
+                        lambda pid: set(range(count)))
+    forked, fork = [], os.fork
+
+    def counting_fork():
+        pid = fork()
+        if pid:
+            forked.append(pid)
+        return pid
+    monkeypatch.setattr(experiments.os, "fork", counting_fork)
+    return forked
+
+
+def _no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    return True
+
+
+def _os_threads():
+    with open("/proc/self/status") as fh:
+        return next(int(line.split()[1]) for line in fh
+                    if line.startswith("Threads:"))
+
+
+def _blas_threads():
+    return [get() for get, _, _ in experiments._openblas_threads()]
+
+
+needs_openblas = pytest.mark.skipif(
+    not experiments._openblas_threads(),
+    reason="no OpenBLAS thread setter loaded: every run is one chunk")
+
+
+@needs_openblas
+@pytest.mark.parametrize("pid", ["1", "2d"])
+def test_two_chunks_report_what_one_chunk_reports(monkeypatch, pid):
+    def lap(clock, stage):  # one second per stage and repetition
+        clock.stages[stage] = clock.stages.get(stage, 0.0) + 1.0
+    monkeypatch.setattr(experiments.pipeline.StageClock, "lap", lap)
+    forked = _cores(monkeypatch, 1)
+    one = run_experiment(PRESETS[pid], reps=4)
+    assert forked == []
+    forked = _cores(monkeypatch, 2)
+    ticks = []
+    two = run_experiment(PRESETS[pid], reps=4, progress=ticks.append)
+    assert len(forked) == 1 and _no_child_left()
+    assert ticks == [0, 1, 2, 3]
+    assert two.payload() == one.payload()
+    assert two.restarts_used == one.restarts_used
+    assert two.restarts_at_best == one.restarts_at_best
+    # the child's stage seconds are added to this process's
+    stages = ("sample", "eigs") + PRESETS[pid].methods
+    assert two.clock == one.clock == dict.fromkeys(stages, 4.0)
+
+
+def _failing_eigs(monkeypatch, master, failing):
+    """leading_eigs raising NonConvergenceError on the repetitions in
+    `failing`, with the repetition in its message and residuals."""
+    solve = eigen.leading_eigs
+    seeds = {derived_seed(master, r, "eigs"): r for r in failing}
+
+    def leading_eigs(g, K, seed=None):
+        if seed in seeds:
+            r = seeds[seed]
+            raise NonConvergenceError(f"repetition {r} failed",
+                                      residuals=np.array([r, 0.5]))
+        return solve(g, K, seed=seed)
+    monkeypatch.setattr(eigen, "leading_eigs", leading_eigs)
+
+
+@needs_openblas
+@pytest.mark.parametrize("reps, failing", [(2, {1}), (4, {1, 2}), (4, {3})])
+def test_a_failing_repetition_raises_as_in_one_chunk(monkeypatch, reps,
+                                                     failing):
+    cfg = tiny_config()
+    _failing_eigs(monkeypatch, cfg.seed, failing)
+    raised, ticked = [], []
+    for cores in (1, 2):
+        forked = _cores(monkeypatch, cores)
+        ticks = []
+        with pytest.raises(NonConvergenceError) as info:
+            run_experiment(cfg, reps=reps, restarts=10, progress=ticks.append)
+        assert len(forked) == cores - 1 and _no_child_left()
+        raised.append(info.value)
+        ticked.append(ticks)
+    one, two = raised
+    assert type(two) is type(one)
+    assert str(two) == str(one) == f"repetition {min(failing)} failed"
+    assert np.array_equal(two.residuals, one.residuals)
+    assert ticked[1] == ticked[0] == list(range(min(failing)))
+
+
+@needs_openblas
+def test_blas_threads_are_one_inside_the_pool_and_restored_after(
+        monkeypatch):
+    _cores(monkeypatch, 2)
+    seen, solve = [], eigen.leading_eigs
+
+    def leading_eigs(g, K, seed=None):
+        seen.append(_blas_threads())  # this process's chunk only
+        return solve(g, K, seed=seed)
+    monkeypatch.setattr(eigen, "leading_eigs", leading_eigs)
+    saved = _blas_threads()
+    try:
+        for _, set_, _ in experiments._openblas_threads():
+            set_(2)
+        run_experiment(tiny_config(), reps=4, restarts=10)
+        assert _blas_threads() == [2] * len(saved)
+        assert seen == [[1] * len(saved)] * 2
+        # and no OpenBLAS worker thread is left spinning
+        assert _os_threads() == threading.active_count()
+    finally:
+        for (_, set_, _), count in zip(experiments._openblas_threads(),
+                                       saved):
+            set_(count)
+
+
+def test_a_process_with_other_threads_runs_one_chunk(monkeypatch):
+    forked = _cores(monkeypatch, 2)
+    release = threading.Event()
+    waiter = threading.Thread(target=release.wait)
+    waiter.start()
+    try:
+        threaded = run_experiment(tiny_config(), reps=4, restarts=10)
+    finally:
+        release.set()
+        waiter.join(timeout=10)
+    assert not waiter.is_alive()
+    assert forked == []
+    assert threaded.payload() == run_experiment(tiny_config(), reps=4,
+                                                restarts=10).payload()
