@@ -13,8 +13,9 @@ reproduces bit for bit the row-wise numpy expressions
 np.sum((x - c) ** 2, axis=1), rng.choice(n, p=d2 / d2.sum()),
 argmin(|x|^2 + x @ (-2 C).T + |c|^2) and np.sum((x - C[labels]) ** 2) that
 define it.  Floating-point addition is not associative, so the order of
-every sum is part of the result: a squared distance adds its d terms in
-numpy's pairwise order (`_row_sums`), the distance matrix is the product
+every sum is part of the result: a squared distance adds its d terms as
+np.sum over the row does, one after another below 8 terms and by np.sum
+itself from 8 on (`_row_sums`), the distance matrix is the product
 x @ (-2 C).T plus |x|^2 and then |c|^2, the cost sums the n x d residual
 block in row-major order, and each centroid sum runs over the points in
 index order (`np.bincount`).  Any other order changes last bits, and with
@@ -64,27 +65,18 @@ class KMeansResult:
 
 
 def _row_sums(cols):
-    """Row sums of an n x d matrix given as its d columns (a d x n array).
+    """Row sums of an n x d matrix given as its d columns (a d x n array),
+    bitwise those of np.sum(matrix, axis=1).
 
-    Each row's d terms are added in the order numpy's pairwise summation
-    adds them in np.sum(matrix, axis=1): one after another below 8 terms,
-    in 8 interleaved partial sums up to 128, halved above.  The sums are
-    therefore bitwise those of np.sum, without its per-row inner loop.
+    Below 8 terms numpy adds a row's terms one after another, and so does
+    this loop, a column at a time instead of numpy's per-row inner loop.
+    From 8 terms on, numpy's pairwise order applies: the defining expression
+    itself adds them.
     """
-    d = len(cols)
-    if d > 128:
-        half = d // 2 - d // 2 % 8
-        return _row_sums(cols[:half]) + _row_sums(cols[half:])
-    if d < 8:
-        total, tail = cols[0].copy(), cols[1:]
-    else:
-        part = [col.copy() for col in cols[:8]]
-        for i in range(8, d - d % 8):
-            part[i % 8] += cols[i]
-        total = (((part[0] + part[1]) + (part[2] + part[3]))
-                 + ((part[4] + part[5]) + (part[6] + part[7])))
-        tail = cols[d - d % 8:]
-    for col in tail:
+    if len(cols) >= 8:
+        return np.ascontiguousarray(cols.T).sum(axis=1)
+    total = cols[0].copy()
+    for col in cols[1:]:
         total += col
     return total
 

@@ -60,21 +60,27 @@ def _as_operator(op):
     """The float matrix (CSR or dense ndarray) behind an accepted operator.
 
     A float64 CSR matrix is used as given; any other canonical CSR matrix
-    keeps its indptr and indices and converts only its data.
+    keeps its indptr and indices and converts only its data.  Float entries
+    must be finite (ValueError otherwise); integer ones, such as a Graph's
+    adjacency, cannot be anything else and are not scanned.
     """
     if hasattr(op, "adjacency"):  # Graph
         op = op.adjacency
     if sp.issparse(op):
         op = op.tocsr()
-        if op.dtype == np.float64:
-            return op
-        if not op.has_canonical_format:
-            return op.astype(float)  # sums duplicate entries into one
-        return sp.csr_matrix((op.data.astype(float), op.indices, op.indptr),
-                             shape=op.shape)
-    if isinstance(op, np.ndarray):
+    elif not isinstance(op, np.ndarray):
+        raise TypeError(f"unsupported operator type: {type(op).__name__}")
+    entries = op.data if sp.issparse(op) else op
+    if entries.dtype.kind in "fc" and not np.isfinite(entries).all():
+        raise ValueError("operator entries must be finite")
+    if not sp.issparse(op):
         return np.asarray(op, dtype=float)
-    raise TypeError(f"unsupported operator type: {type(op).__name__}")
+    if op.dtype == np.float64:
+        return op
+    if not op.has_canonical_format:
+        return op.astype(float)  # sums duplicate entries into one
+    return sp.csr_matrix((op.data.astype(float), op.indices, op.indptr),
+                         shape=op.shape)
 
 
 def _apply(mat, vecs):
@@ -92,8 +98,7 @@ def _lead_sign(v):
 
     On exact magnitude ties the lowest index decides.
     """
-    a = np.abs(v)
-    return -1.0 if v[int(np.flatnonzero(a == a.max())[0])] < 0 else 1.0
+    return -1.0 if v[np.argmax(np.abs(v))] < 0 else 1.0
 
 
 def _magnitude_order(values, tol=0.0):
@@ -116,8 +121,9 @@ def _magnitude_order(values, tol=0.0):
 def leading_eigs(op, K, seed=0):
     """The K leading (largest-|lambda|) eigenpairs of a symmetric operator.
 
-    `op` may be a Graph, a scipy sparse matrix or a dense ndarray.  Symmetry
-    is the caller's responsibility.  Each returned vector has unit norm,
+    `op` may be a Graph, a scipy sparse matrix or a dense ndarray, with
+    finite entries (ValueError otherwise).  Symmetry is the caller's
+    responsibility.  Each returned vector has unit norm,
     residual ||A v - lambda v|| <= DEFAULT_TOL * max(1, |lambda|) (recomputed
     here; NonConvergenceError otherwise), and its largest-magnitude entry
     made positive.  The iterative path starts ARPACK from a seeded uniform
@@ -157,7 +163,7 @@ def leading_eigs(op, K, seed=0):
     vals = vals[order]
     vecs = vecs[:, order] * [_lead_sign(vecs[:, i]) for i in order]
     residuals = np.linalg.norm(_apply(mat, vecs) - vecs * vals, axis=0)
-    if np.any(residuals > tol * np.maximum(1.0, np.abs(vals))):
+    if not np.all(residuals <= tol * np.maximum(1.0, np.abs(vals))):  # nan
         raise NonConvergenceError(
             f"eigenpairs miss tol={tol:g} (residuals: "
             f"{np.array2string(residuals, precision=3)})", residuals=residuals)

@@ -1,10 +1,14 @@
 """Permutation-minimized Hamming error and run summary statistics.
 
 The minimum over all K! relabelings of the truth is a maximum-trace matching
-on the K x K confusion matrix, found by Kuhn-Munkres with integer dual
-potentials.  Among tied optimal matchings the lexicographically first is
-reported; the potentials mark every pair an optimal matching can use, so
-only real ties need a search.
+on the K x K confusion matrix, found by Kuhn-Munkres.  Among tied optimal
+matchings the lexicographically first is reported, and the weights already
+say which one that is: matching estimated label a to true label b (from 0)
+weighs conf[a, b] * K^K - a * K^(K-1-b), in exact Python integers.  The
+penalties of a matching form the K-digit base-K number whose digits are its
+rows, which stays below K^K, so a larger trace always wins and among equal
+traces the lexicographically first matching weighs the most.  One solve
+returns it.
 """
 
 from dataclasses import dataclass
@@ -44,40 +48,38 @@ def _confusion(estimated, truth, K):
                        minlength=K * K).reshape(K, K)
 
 
-def _max_trace_matching(conf):
-    """A maximum-trace matching of the square integer matrix `conf`.
+def _max_trace_matching(w):
+    """The maximum-weight matching of the square integer matrix `w`, as
+    match[b] = the row matched to column b.
 
     Kuhn-Munkres (the Hungarian method) with row potentials u and column
-    potentials v kept at u[a] + v[b] >= conf[a, b] everywhere, with equality
+    potentials v kept at u[a] + v[b] >= w[a, b] everywhere, with equality
     on every matched pair.  It starts from v = the column maxima and u = 0,
     gives each row a column whose maximum it holds, and inserts each row
-    still free along a shortest augmenting path in the slack u + v - conf
-    (Dijkstra, relaxing all columns at once per step).  Integer input keeps
-    every potential an integer, so the tight test is exact.
-
-    Returns (match, tight): match[b] is the row matched to column b, and
-    tight[a, b] is u[a] + v[b] == conf[a, b].  By complementary slackness
-    the maximum-trace matchings are exactly the matchings of tight pairs.
+    still free along a shortest augmenting path in the slack u + v - w
+    (Dijkstra, relaxing all columns at once per step).  Integer weights,
+    including Python integers in an object array, keep every step exact.
     """
-    K = conf.shape[0]
-    u = np.zeros(K, dtype=np.int64)
-    v = conf.max(axis=0)
-    held = dict(zip(conf.argmax(axis=0).tolist(), range(K)))  # row -> column
+    K = w.shape[0]
+    u = np.zeros(K, dtype=w.dtype)
+    v = w.max(axis=0)
+    held = dict(zip(w.argmax(axis=0).tolist(), range(K)))  # row -> column
     match = np.full(K, -1)
     match[list(held.values())] = list(held)
     for row in sorted(set(range(K)) - held.keys()):
-        # Dijkstra over columns on the slack u + v - conf; dist[b] is the
-        # least slack of an alternating path from the new row to column b
-        dist = u[row] + v - conf[row]
+        # Dijkstra over columns on the slack u + v - w; dist[b] is the least
+        # slack of an alternating path from the new row to column b
+        dist = u[row] + v - w[row]
         way = np.full(K, -1)  # the column before b on that path; -1: none
         done = np.zeros(K, dtype=bool)
         while True:
-            col = int(np.where(done, np.iinfo(np.int64).max, dist).argmin())
+            open_cols = np.flatnonzero(~done)
+            col = int(open_cols[dist[open_cols].argmin()])
             if match[col] < 0:
                 break
             done[col] = True
             r = match[col]
-            reach = dist[col] + u[r] + v - conf[r]
+            reach = dist[col] + u[r] + v - w[r]
             better = reach < dist  # never a done column: its dist is final
             dist[better] = reach[better]
             way[better] = col
@@ -89,44 +91,20 @@ def _max_trace_matching(conf):
             match[col] = match[way[col]]
             col = way[col]
         match[col] = row
-    return match, u[:, None] + v == conf
+    return match
 
 
 def _best_perm(conf):
     """The lexicographically first maximum-trace matching, and its trace.
 
-    True labels 1..K in turn take the lowest free estimated label that still
-    completes an optimal matching.  The optimal matchings are the matchings
-    of tight pairs, so only a column tight at two or more rows has a choice.
-    With `match` one optimal completion, the row of a later column x can
-    move to column b when it is tight there and x reaches b by tight steps,
-    each column taking the row of the column it steps to; the path then
-    rotates.  Only rows below match[b] need this test.
+    The weights conf * K^K less each row's digit at its column's place,
+    a * K^(K-1-b), make that matching the only maximum-weight one.
     """
     K = conf.shape[0]
-    match, tight = _max_trace_matching(conf)
-    trace = int(conf[match, np.arange(K)].sum())
-    for b in np.flatnonzero(np.count_nonzero(tight[:, :-1], axis=0) > 1):
-        later = match[b + 1:]
-        lower = b + 1 + np.flatnonzero((later < match[b]) & tight[later, b])
-        if lower.size == 0:
-            continue
-        step = np.full(K, -1)  # step[x]: the column whose row x takes
-        step[b] = b
-        queue = [b]
-        for y in queue:
-            takers = b + 1 + np.flatnonzero(tight[match[y], b + 1:]
-                                            & (step[b + 1:] < 0))
-            step[takers] = y
-            queue.extend(takers.tolist())
-        lower = lower[step[lower] >= 0]
-        if lower.size == 0:
-            continue
-        path = [int(lower[match[lower].argmin()])]
-        while path[-1] != b:
-            path.append(int(step[path[-1]]))
-        match[path] = np.roll(match[path], -1)
-    return tuple((match + 1).tolist()), trace
+    digit = np.arange(K, dtype=object)[:, None]
+    place = K ** np.arange(K - 1, -1, -1, dtype=object)
+    match = _max_trace_matching(conf.astype(object) * K ** K - digit * place)
+    return tuple((match + 1).tolist()), int(conf[match, np.arange(K)].sum())
 
 
 def hamming_error(estimated, truth, K):

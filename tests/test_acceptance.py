@@ -5,14 +5,24 @@ The Monte-Carlo criteria run the simulation presets at their full repetition
 counts; the whole module takes roughly ten minutes of CPU.  The web-blogs
 criterion needs a user-supplied edge list (see tests/conftest.py:find_polblogs)
 and is skipped when the file is absent.
+
+Criteria 3-6 also hold each preset's report to the golden record in
+tests/data/experiments_record.json: `experiment <id> --json` minus
+`wall_clock_s`, at the preset's default seed.  A change to the Monte-Carlo
+protocol moves the record; rewrite it with
+`PYTHONPATH=src python tests/test_acceptance.py` and report the moved
+repetitions.
 """
 
 import itertools
+import json
 import math
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy
 
 from scorecd import hamming_error, kmeans, leading_eigs, score_ratio
 from scorecd.dcbm import (block_labels, diagnostics, population_ratio_matrix,
@@ -36,6 +46,43 @@ def announce(capsys, name, ok, detail):
 
 def within(value, center, tol):
     return abs(value - center) <= tol
+
+
+RECORD = Path(__file__).resolve().parent / "data" / "experiments_record.json"
+
+
+def record_view(report):
+    """`experiment <id> --json` minus wall_clock_s, as parsed JSON."""
+    view = json.loads(report.to_json())
+    del view["wall_clock_s"]
+    return view
+
+
+def moved(want, got, path=""):
+    """The fields, and the list indices (repetitions) within them, where
+    `got` differs from `want`."""
+    if isinstance(want, dict) and isinstance(got, dict):
+        return [m for key in sorted(want.keys() | got.keys())
+                for m in moved(want.get(key), got.get(key), f"{path}/{key}")]
+    if (isinstance(want, list) and isinstance(got, list)
+            and len(want) == len(got)):
+        at = [i for i, (a, b) in enumerate(zip(want, got)) if a != b]
+        return [f"{path} at index {at}"] if at else []
+    return [] if want == got else [f"{path}: {want!r} -> {got!r}"]
+
+
+@pytest.fixture(scope="module")
+def record():
+    return json.loads(RECORD.read_text())
+
+
+def assert_recorded(record, *reports):
+    for rep in reports:
+        diff = moved(record["presets"][rep.config.id], record_view(rep))
+        assert not diff, (
+            f"preset {rep.config.id} left the record (made with numpy "
+            f"{record['numpy']}, scipy {record['scipy']}; running "
+            f"{np.__version__}, {scipy.__version__}): " + "; ".join(diff))
 
 
 # --------------------------------------------------------------------------
@@ -110,7 +157,7 @@ def test_criterion_2_web_blogs(capsys):
 # criteria 3-6: the simulation presets at published repetition counts
 # --------------------------------------------------------------------------
 
-def test_criterion_3_experiment_1(capsys):
+def test_criterion_3_experiment_1(capsys, record):
     t0 = time.perf_counter()
     rep = run_experiment(PRESETS["1"])
     elapsed = time.perf_counter() - t0
@@ -123,9 +170,10 @@ def test_criterion_3_experiment_1(capsys):
     detail = " ".join(f"{m}={v:.4f} ({c}+-{tol})" for m, v, c, tol in checks)
     announce(capsys, "criterion 3 (experiment 1, 50 reps)", ok,
              f"{detail}, {elapsed:.0f}s < 300s")
+    assert_recorded(record, rep)
 
 
-def test_criterion_4_experiment_2(capsys):
+def test_criterion_4_experiment_2(capsys, record):
     t0 = time.perf_counter()
     windows = {
         "2a": {"score": (0.107, 0.005), "score1": (0.107, 0.005),
@@ -136,9 +184,10 @@ def test_criterion_4_experiment_2(capsys):
                "score2": (0.111, 0.005)},
         "2d": {"score1": (0.071, 0.005), "score2": (0.071, 0.005)},
     }
-    details, ok = [], True
+    details, ok, reports = [], True, []
     for pid, cells in windows.items():
         rep = run_experiment(PRESETS[pid])
+        reports.append(rep)
         for method, (center, tol) in cells.items():
             got = rep.means[method]
             ok &= within(got, center, tol)
@@ -151,9 +200,10 @@ def test_criterion_4_experiment_2(capsys):
     ok = ok and elapsed < 1200
     announce(capsys, "criterion 4 (experiments 2a-2d, 100 reps)", ok,
              " ".join(details) + f", {elapsed:.0f}s < 1200s")
+    assert_recorded(record, *reports)
 
 
-def test_criterion_5_experiment_3(capsys):
+def test_criterion_5_experiment_3(capsys, record):
     t0 = time.perf_counter()
     rep = run_experiment(PRESETS["3"])
     elapsed = time.perf_counter() - t0
@@ -166,18 +216,20 @@ def test_criterion_5_experiment_3(capsys):
     detail = " ".join(f"{m}={v:.4f} ({c}+-{tol})" for m, v, c, tol in checks)
     announce(capsys, "criterion 5 (experiment 3, 25 reps)", ok,
              f"{detail}, {elapsed:.0f}s < 300s")
+    assert_recorded(record, rep)
 
 
-def test_criterion_6_experiment_4(capsys):
+def test_criterion_6_experiment_4(capsys, record):
     t0 = time.perf_counter()
     windows = {
         "4a": {"score": (0.043, 0.01), "opca": (0.066, 0.02)},
         "4b": {"score": (0.140, 0.01), "opca": (0.292, 0.02)},
         "4c": {"score": (0.130, 0.01), "opca": (0.254, 0.02)},
     }
-    details, ok = [], True
+    details, ok, reports = [], True, []
     for pid, cells in windows.items():
         rep = run_experiment(PRESETS[pid])
+        reports.append(rep)
         for method, (center, tol) in cells.items():
             got = rep.means[method]
             ok &= within(got, center, tol)
@@ -186,6 +238,7 @@ def test_criterion_6_experiment_4(capsys):
     ok = ok and elapsed < 600
     announce(capsys, "criterion 6 (experiments 4a-4c, 50 reps)", ok,
              " ".join(details) + f", {elapsed:.0f}s < 600s")
+    assert_recorded(record, *reports)
 
 
 # --------------------------------------------------------------------------
@@ -357,3 +410,21 @@ def test_criterion_9_property_suites(capsys, oracle_instances, monkeypatch):
     ok = (kmeans_ok and ham_ok and eig_ok and perron_ok and dist_ok
           and noise_ok)
     announce(capsys, "criterion 9 (property suites)", ok, "; ".join(notes))
+
+
+def write_record():
+    """Rewrite the golden record from this checkout, one line per field."""
+    presets = []
+    for pid, cfg in PRESETS.items():
+        fields = ",\n".join(f"   {json.dumps(key)}: {json.dumps(value)}"
+                            for key, value in
+                            record_view(run_experiment(cfg)).items())
+        presets.append(f"  {json.dumps(pid)}: {{\n{fields}\n  }}")
+    RECORD.write_text(
+        f'{{\n "numpy": "{np.__version__}",\n "scipy": '
+        f'"{scipy.__version__}",\n "presets": {{\n'
+        + ",\n".join(presets) + "\n }\n}\n")
+
+
+if __name__ == "__main__":
+    write_record()

@@ -159,6 +159,22 @@ def test_argument_and_convergence_errors(rng, monkeypatch):
     assert err.value.residuals is not None
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("cutoff", [eigen.DENSE_CUTOFF, 0],
+                         ids=["dense", "arpack"])
+def test_non_finite_operators_raise_value_error(bad, cutoff, monkeypatch):
+    # refused before either solver sees them
+    monkeypatch.setattr(eigen, "DENSE_CUTOFF", cutoff)
+    tiny = np.array([[0.0, bad], [bad, 0.0]])
+    M = np.zeros((40, 40))
+    M[np.arange(39), np.arange(1, 40)] = M[np.arange(1, 40), np.arange(39)] = 1
+    M[3, 7] = M[7, 3] = bad
+    for op in (tiny, sp.csr_matrix(tiny), M, sp.csr_matrix(M),
+               sp.csr_matrix(M).astype(np.float32)):
+        with pytest.raises(ValueError, match="must be finite"):
+            leading_eigs(op, 1)
+
+
 def test_arpack_restart_budget_is_reported(monkeypatch):
     # a long cycle's clustered spectrum cannot converge in one restart
     n = 600

@@ -131,6 +131,23 @@ def test_large_k_uses_assignment(rng):
                 first_optimal_perm_by_resolving(res.confusion)
 
 
+def test_large_counts_keep_the_tie_rule(rng):
+    # counts up to 10^6 with planted ties: a duplicated column and a
+    # duplicated row each make a swap that keeps the trace.  The weights
+    # must stay exact integers: at K = 20 the scale K^K alone is past 2^63,
+    # and at K = 12 10^6 * K^K is within 4% of it, so int64 potentials
+    # would wrap around
+    for K in (20, 12):
+        for trial in range(20):
+            if trial % 2:
+                conf = rng.integers(0, 10**6, size=(K, K), endpoint=True)
+            else:  # two values only: ties everywhere
+                conf = 10**6 * rng.integers(0, 2, size=(K, K))
+            conf[:, K // 2] = conf[:, 0]
+            conf[K - 1] = conf[1]
+            assert _best_perm(conf) == first_optimal_perm_by_resolving(conf)
+
+
 def test_confusion_equals_a_pair_count(rng):
     for K in range(1, 10):
         est = rng.integers(1, K + 1, size=200)
