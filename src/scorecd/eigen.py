@@ -61,8 +61,11 @@ def _as_operator(op):
 
     A float64 CSR matrix is used as given; any other canonical CSR matrix
     keeps its indptr and indices and converts only its data.  Float entries
-    must be finite (ValueError otherwise); integer ones, such as a Graph's
-    adjacency, cannot be anything else and are not scanned.
+    must be finite and at most sqrt(finfo(float).max) / 2n in magnitude
+    (ValueError otherwise): then for a unit v, |A v| and |lambda| are at most
+    n max|A_ij|, so neither the residual A v - lambda v nor the sum of its
+    squares can overflow.  Integer entries, such as a Graph's adjacency, are
+    far inside that bound and are not scanned.
     """
     if hasattr(op, "adjacency"):  # Graph
         op = op.adjacency
@@ -71,8 +74,12 @@ def _as_operator(op):
     elif not isinstance(op, np.ndarray):
         raise TypeError(f"unsupported operator type: {type(op).__name__}")
     entries = op.data if sp.issparse(op) else op
-    if entries.dtype.kind in "fc" and not np.isfinite(entries).all():
-        raise ValueError("operator entries must be finite")
+    if entries.dtype.kind in "fc" and entries.size:
+        bound = np.sqrt(np.finfo(float).max) / (2 * op.shape[0])
+        if not np.abs(entries).max() <= bound:  # nan fails it too
+            raise ValueError(f"operator entries must be finite and at most "
+                             f"sqrt(finfo(float).max) / 2n = {bound:.4g} in "
+                             f"magnitude")
     if not sp.issparse(op):
         return np.asarray(op, dtype=float)
     if op.dtype == np.float64:
@@ -122,11 +129,13 @@ def leading_eigs(op, K, seed=0):
     """The K leading (largest-|lambda|) eigenpairs of a symmetric operator.
 
     `op` may be a Graph, a scipy sparse matrix or a dense ndarray, with
-    finite entries (ValueError otherwise).  Symmetry is the caller's
-    responsibility.  Each returned vector has unit norm,
-    residual ||A v - lambda v|| <= DEFAULT_TOL * max(1, |lambda|) (recomputed
-    here; NonConvergenceError otherwise), and its largest-magnitude entry
-    made positive.  The iterative path starts ARPACK from a seeded uniform
+    finite entries of magnitude at most sqrt(finfo(float).max) / 2n
+    (~6.7e153 / n), so that no product, eigenvalue or residual overflows
+    (ValueError otherwise).  Symmetry is the caller's responsibility.  Each
+    returned vector has unit norm, residual
+    ||A v - lambda v|| <= DEFAULT_TOL * max(1, |lambda|) (recomputed here;
+    NonConvergenceError otherwise), and its largest-magnitude entry made
+    positive.  The iterative path starts ARPACK from a seeded uniform
     random vector, so results are reproducible, and gives up after
     DEFAULT_MAX_ITER (300) restarts; ARPACK stops at convergence, so the cap
     changes no solve that converges below it.  n <= DENSE_CUTOFF and

@@ -16,8 +16,6 @@ import scipy.sparse as sp
 from . import eigen
 from .errors import DegeneracyError, NumericalError
 
-TINY_DENOMINATOR = 1e-300
-
 
 @dataclass(frozen=True, eq=False)
 class RatioMatrix:
@@ -32,14 +30,15 @@ def score_ratio(spectrum, T_n=None):
     """Entrywise ratios of trailing leading eigenvectors over the first.
 
     Column k holds vector_{k+1} / vector_1, clipped to [-T_n, T_n]; T_n
-    defaults to log(n) and may be math.inf to disable clipping.  Entries whose
-    denominator is exactly zero are an error (extract the giant component
-    first: on a connected graph the top eigenvector has no zero entries);
-    denominators below 1e-300 in magnitude clip to +-T_n by numerator sign.
-    So is a first vector with entries of both signs, which is not a Perron
-    vector; entries within sqrt(tol) of zero, relative to the largest, are
-    solver noise (the zeros of a disconnected graph's Perron vector) and
-    carry no sign.
+    defaults to log(n) and may be math.inf to disable clipping.  One rule
+    holds for every entry: it is the floating-point quotient, +-inf with the
+    quotient's sign where that overflows, and truncated_count counts the
+    entries beyond +-T_n.  Entries whose denominator is exactly zero are an
+    error (extract the giant component first: on a connected graph the top
+    eigenvector has no zero entries).  So is a first vector with entries of
+    both signs, which is not a Perron vector; entries within sqrt(tol) of
+    zero, relative to the largest, are solver noise (the zeros of a
+    disconnected graph's Perron vector) and carry no sign.
     """
     K = len(spectrum)
     if K < 2:
@@ -62,14 +61,10 @@ def score_ratio(spectrum, T_n=None):
     if not T_n > 0:
         raise ValueError(f"T_n must be positive, got {T_n}")
 
-    wild = np.abs(lead) < TINY_DENOMINATOR
-    safe_lead = np.where(wild, 1.0, lead)
-    R = vecs[:, 1:] / safe_lead[:, None]
-    if wild.any():
-        R[wild] = np.sign(vecs[wild, 1:]) * T_n
-    clipped = np.abs(R) > T_n
+    with np.errstate(over="ignore"):  # an overflowed quotient is +-inf
+        R = vecs[:, 1:] / lead[:, None]
+    truncated = int(np.count_nonzero(np.abs(R) > T_n))
     R = np.clip(R, -T_n, T_n)
-    truncated = int(clipped.sum() + wild.sum() * (K - 1))
     return RatioMatrix(R=R, T_n=float(T_n), truncated_count=truncated)
 
 

@@ -5,8 +5,10 @@ remapped to dense indices 0..n-1 in first-appearance order; the mapping is kept
 in ``original_ids`` so results can be reported against the source labels.  The
 edge-list and label readers take an open text file and read it whole.
 ``from_edges`` is the one builder: it reduces its pairs to the upper triangle
-and hands that to ``_from_upper``, the symmetric assembly the DCBM sampler
-also feeds its rows to directly.
+U and hands that to ``_from_upper``, which returns the adjacency U + U^T; the
+DCBM sampler feeds its rows to ``_from_upper`` directly.  A cut to a closed
+node set (the giant component, the non-isolated nodes) starts from the kept
+rows A[keep].
 """
 
 import io
@@ -46,12 +48,21 @@ def from_edges(edges, n, original_ids=None):
 
     Self-loops are dropped and duplicate or reversed pairs collapse to one
     edge, so the adjacency is symmetric 0/1 (int8) CSR in canonical format,
-    with int32 indices unless its entry count needs int64.  Indices must lie
-    in [0, n); nodes no pair names are isolated.  Each pair becomes
-    (min, max), scipy's COO constructor sorts and merges them into the upper
-    triangle, and _from_upper mirrors it in linear time.
+    with int32 indices unless its entry count needs int64.  Indices must be
+    bool, integer or whole float values in [0, n) (ValueError otherwise);
+    nodes no pair names are isolated.  Each pair becomes (min, max), scipy's
+    COO constructor sorts and merges them into the upper triangle U, and
+    _from_upper returns U + U^T.
     """
-    pairs = np.asarray(edges, dtype=np.int64)
+    pairs = np.asarray(edges)
+    # read the values as given: the int64 cast would truncate 1.7 to 1 and
+    # turn nan or inf into an arbitrary integer; integer arrays need no scan
+    if pairs.dtype.kind not in "biu" and not (
+            pairs.dtype.kind == "f" and np.all(
+                (pairs == np.trunc(pairs)) & (0 <= pairs) & (pairs < n))):
+        raise ValueError("edges must hold integer node indices in "
+                         f"[0, {n})")
+    pairs = pairs.astype(np.int64, copy=False)
     if pairs.size == 0:
         pairs = pairs.reshape(0, 2)
     if pairs.ndim != 2 or pairs.shape[1] != 2:
@@ -68,27 +79,17 @@ def from_edges(edges, n, original_ids=None):
 
 
 def _from_upper(indptr, indices, n, original_ids=None):
-    """Build a Graph on nodes 0..n-1 from its upper triangle in CSR form.
+    """Build a Graph on nodes 0..n-1 from its upper triangle U in CSR form.
 
-    Row r of the upper triangle is indices[indptr[r]:indptr[r + 1]], which
-    must be sorted, unique and above r; the Graph is from_edges' on those
-    pairs.  The transpose gives the lower triangle, and each row of the
-    adjacency is its lower entries then its upper ones, so no sort runs.
+    Row r of U is indices[indptr[r]:indptr[r + 1]], which must be sorted,
+    unique and above r; the Graph is from_edges' on those pairs.  Its
+    adjacency is U + U^T: scipy adds the two canonical matrices row by row
+    in linear time, they share no entry, so every entry is 1 and the sum is
+    canonical, with int32 indices unless its entry count needs int64.
     """
     upper = sp.csr_matrix((np.ones(len(indices), dtype=np.int8), indices,
                            indptr), shape=(n, n))
-    lower = upper.T.tocsr()
-    # row r is row r of `lower` (columns below r), then row r of `upper`
-    within = np.arange(upper.nnz)
-    both = np.empty(2 * upper.nnz, dtype=upper.indices.dtype)
-    both[within + np.repeat(upper.indptr[:-1], np.diff(lower.indptr))] = \
-        lower.indices
-    both[within + np.repeat(lower.indptr[1:], np.diff(upper.indptr))] = \
-        upper.indices
-    # summed in int64, which cannot wrap; the constructor narrows what fits
-    adj = sp.csr_matrix((np.ones(both.size, dtype=np.int8), both,
-                         lower.indptr.astype(np.int64) + upper.indptr),
-                        shape=(n, n))
+    adj = upper + upper.T
     adj.has_canonical_format = True
     if original_ids is None:
         original_ids = tuple(range(n))
@@ -213,23 +214,19 @@ def _induced_subgraph(g, keep):
     """Subgraph on the sorted index array `keep`, plus the index map.
 
     `keep` must be closed: a union of connected components, so no kept node
-    has a dropped neighbor (a ValueError otherwise).  Then the kept rows'
-    entries are the subgraph's, and the monotone old-to-new table renames
-    their columns without unsorting any row.
+    has a dropped neighbor (a ValueError otherwise).  Then the kept rows
+    A[keep] hold the subgraph's entries, and the monotone old-to-new table
+    renames their columns without unsorting any row.
     """
     keep = np.asarray(keep, dtype=np.int64)
-    adj = g.adjacency
-    new = np.full(g.n, -1, dtype=adj.indices.dtype)
+    rows = g.adjacency[keep]
+    new = np.full(g.n, -1, dtype=rows.indices.dtype)
     new[keep] = np.arange(keep.size)
-    lengths = np.diff(adj.indptr)
-    picked = np.repeat(new >= 0, lengths)
-    indices = new.take(adj.indices[picked])
+    indices = new.take(rows.indices)
     if (indices < 0).any():
         raise ValueError("node set is not closed: a kept node has a dropped "
                          "neighbor")
-    indptr = np.zeros(keep.size + 1, dtype=adj.indptr.dtype)
-    np.cumsum(lengths[keep], out=indptr[1:])
-    sub = sp.csr_matrix((adj.data[picked], indices, indptr),
+    sub = sp.csr_matrix((rows.data, indices, rows.indptr),
                         shape=(keep.size, keep.size))
     sub.has_canonical_format = True
     pick = keep.tolist()

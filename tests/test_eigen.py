@@ -175,6 +175,36 @@ def test_non_finite_operators_raise_value_error(bad, cutoff, monkeypatch):
             leading_eigs(op, 1)
 
 
+@pytest.mark.parametrize("n, entry", [(2, 1e308), (2, -1e308), (40, 1e307),
+                                      (40, 1e300)])
+@pytest.mark.parametrize("cutoff", [eigen.DENSE_CUTOFF, 0],
+                         ids=["dense", "arpack"])
+def test_overflowing_operators_raise_value_error(n, entry, cutoff,
+                                                 monkeypatch, recwarn):
+    # finite entries whose products or residuals overflow: an infinite
+    # eigenvalue would pass a residual bound that scales with it
+    monkeypatch.setattr(eigen, "DENSE_CUTOFF", cutoff)
+    M = np.full((n, n), entry)
+    for op in (M, sp.csr_matrix(M), sp.csr_matrix(M * 1j)):
+        with pytest.raises(ValueError, match="must be finite"):
+            leading_eigs(op, 1)
+    assert not recwarn.list
+
+
+@pytest.mark.parametrize("cutoff", [eigen.DENSE_CUTOFF, 0],
+                         ids=["dense", "arpack"])
+def test_entries_at_the_bound_solve_without_overflow(cutoff, monkeypatch,
+                                                     recwarn):
+    monkeypatch.setattr(eigen, "DENSE_CUTOFF", cutoff)
+    n = 40
+    bound = np.sqrt(np.finfo(float).max) / (2 * n)
+    for M in (np.full((n, n), bound), np.full((n, n), -bound)):
+        spec = leading_eigs(sp.csr_matrix(M), 1)
+        assert spec.values[0] == pytest.approx(n * M[0, 0])
+        assert np.isfinite(spec.pairs[0].residual)
+    assert not recwarn.list
+
+
 def test_arpack_restart_budget_is_reported(monkeypatch):
     # a long cycle's clustered spectrum cannot converge in one restart
     n = 600

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -44,6 +45,24 @@ def test_truncation_clips_and_counts():
     raw = score_ratio(spectrum_of(np.column_stack([v1, v2])), T_n=math.inf)
     assert raw.R[1, 0] == pytest.approx(1000.0)
     assert raw.truncated_count == 0
+
+
+@pytest.mark.parametrize("T_n", [5.0, math.inf])
+def test_tiny_denominators_follow_the_quotient_rule(T_n):
+    # denominators of both signs far below 1e-300, one of 1e-299 and a zero
+    # numerator: each entry is the quotient (+-inf on overflow), clipped
+    v1 = np.array([1e-310, -1e-310, 1e-299, 0.6, 0.8])
+    v2 = np.array([0.5, 0.5, 0.5, 0.3, -0.4])
+    v3 = np.array([0.0, -0.5, -0.5, 0.6, 0.8])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rm = score_ratio(spectrum_of(np.column_stack([v1, v2, v3]),
+                                     values=[3.0, 2.0, 1.0]), T_n=T_n)
+    big = T_n if T_n < math.inf else 5e298
+    want = np.array([[T_n, 0.0], [-T_n, T_n], [big, -big],
+                     [0.5, 1.0], [-0.5, 1.0]])
+    assert np.array_equal(rm.R, want)
+    assert rm.truncated_count == (5 if T_n < math.inf else 0)
 
 
 def test_zero_denominator_is_degenerate():

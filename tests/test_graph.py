@@ -1,6 +1,7 @@
 import hashlib
 import io
 import itertools
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -125,6 +126,24 @@ def test_from_edges_trailing_isolated_nodes_and_no_edges():
         assert_canonical_01(g)
     with pytest.raises(ValueError, match="m x 2"):
         from_edges([(0, 1, 2)], n=3)
+
+
+@pytest.mark.parametrize("edges", [
+    np.array([[0, 1.7]]), [(0.5, 2)], [(0, np.nan)], [(1, np.inf)],
+    [(0, -np.inf)], np.array([[0, 3.0]]), np.array([["0", "1"]]),
+    np.array([[0, 1]], dtype=object)])
+def test_from_edges_refuses_pairs_that_are_not_integer_indices(edges):
+    # checked as given, before the cast could truncate or wrap them
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="integer node indices"):
+            from_edges(edges, n=3)
+
+
+def test_from_edges_takes_whole_floats():
+    got = from_edges(np.array([[0.0, 1.0], [2.0, 1.0]]), n=3).adjacency
+    want = from_edges([(0, 1), (2, 1)], n=3).adjacency
+    assert np.array_equal(got.toarray(), want.toarray())
 
 
 @settings(max_examples=200, deadline=None)
