@@ -22,7 +22,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .errors import NonConvergenceError
+from .errors import NonConvergenceError, NumericalError
 
 DENSE_CUTOFF = 512
 DEFAULT_TOL = 1e-10
@@ -138,7 +138,8 @@ def leading_eigs(op, K, seed=0):
     positive.  The iterative path starts ARPACK from a seeded uniform
     random vector, so results are reproducible, and gives up after
     DEFAULT_MAX_ITER (300) restarts; ARPACK stops at convergence, so the cap
-    changes no solve that converges below it.  n <= DENSE_CUTOFF and
+    changes no solve that converges below it; any other ARPACK failure is a
+    NumericalError carrying ARPACK's message.  n <= DENSE_CUTOFF and
     K >= n - 1 go dense.
     """
     tol, max_iter = DEFAULT_TOL, DEFAULT_MAX_ITER
@@ -167,6 +168,8 @@ def leading_eigs(op, K, seed=0):
                 f"restarts ({found} of {K} pairs converged; residuals: "
                 f"{np.array2string(residuals, precision=3)})",
                 residuals=residuals) from None
+        except spla.ArpackError as exc:  # after its subclass above
+            raise NumericalError(f"eigensolver failed: {exc}") from None
 
     order = _magnitude_order(vals, tol)[:K]
     vals = vals[order]

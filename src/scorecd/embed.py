@@ -33,12 +33,10 @@ def score_ratio(spectrum, T_n=None):
     defaults to log(n) and may be math.inf to disable clipping.  One rule
     holds for every entry: it is the floating-point quotient, +-inf with the
     quotient's sign where that overflows, and truncated_count counts the
-    entries beyond +-T_n.  Entries whose denominator is exactly zero are an
-    error (extract the giant component first: on a connected graph the top
-    eigenvector has no zero entries).  So is a first vector with entries of
-    both signs, which is not a Perron vector; entries within sqrt(tol) of
-    zero, relative to the largest, are solver noise (the zeros of a
-    disconnected graph's Perron vector) and carry no sign.
+    entries beyond +-T_n.  The first vector must be entrywise positive, as
+    the Perron vector of a connected graph with nonnegative weights is
+    (leading_eigs makes its largest entry positive); an entry <= 0 or nan is
+    a DegeneracyError.  Extract the giant component first.
     """
     K = len(spectrum)
     if K < 2:
@@ -46,16 +44,15 @@ def score_ratio(spectrum, T_n=None):
     vecs = spectrum.vectors
     lead = vecs[:, 0]
     n = lead.size
-    if np.any(lead == 0.0):
+    if not lead.min() > 0:  # nan fails it too
         raise DegeneracyError(
-            "leading eigenvector has exact zero entries; run on the giant "
-            "component so the Perron vector is entrywise nonzero")
-    noise = math.sqrt(spectrum.tol) * np.abs(lead).max()
-    if lead.min() < -noise and lead.max() > noise:
-        raise DegeneracyError(
-            "leading eigenvector has entries of both signs, so it is not the "
-            "Perron vector and ratios over it are meaningless; run on the "
-            "giant component of a graph with nonnegative weights")
+            f"leading eigenvector has {np.count_nonzero(~(lead > 0))} of {n} "
+            f"entries that are not positive (smallest {lead.min():.3g}), so it "
+            "is not a positive Perron vector and ratios over it are "
+            "meaningless: either the graph is not connected or has negative "
+            "weights (run on the giant component of a graph with nonnegative "
+            "weights), or some entries are below the eigensolver's "
+            "resolution")
     if T_n is None:
         T_n = math.log(n)
     if not T_n > 0:

@@ -1,8 +1,12 @@
 """Simulation presets and the repetition harness.
 
 Each experiment repetition permutes the degree-weight pattern, samples one
-graph, strips isolated nodes, runs every requested method on the survivor
-graph, and scores it against the model's labels restricted to the survivors.
+graph and strips its isolated nodes; the n0 survivors are the denominator of
+the error rate.  Every requested method then runs on the giant component of
+the survivor graph, the one graph rule `detect` follows too: SCORE divides
+by the leading eigenvector, which is a positive Perron vector only on a
+connected graph.  Each method is scored against the model's labels on the
+giant component, and each survivor outside it counts as a mismatch.
 Repetition r draws its randomness from (master seed, r) and each method's
 k-means stream from (master seed, r, method), so all methods within a
 repetition see the identical graph and any repetition range reproduces
@@ -32,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import dcbm, eigen, metrics, pipeline
+from . import dcbm, eigen, graph, metrics, pipeline
 from .errors import ParseError
 from .graph import data_lines, remove_isolated
 from .seeding import derived_seed
@@ -161,7 +165,7 @@ class RunReport:
 
     config: ExperimentConfig
     seed: int
-    n0: tuple                 # surviving node count per repetition
+    n0: tuple                 # non-isolated node count per repetition
     mismatches: dict          # method -> tuple of counts per repetition
     rates: dict               # method -> tuple of mismatches/n0
     means: dict
@@ -223,24 +227,29 @@ class RunReport:
 
 def _run_repetition(cfg, master, T_n, restarts, clustering, r, clock):
     """Survivor count and, per method, (mismatches, k-means runs made, runs
-    ending at the best cost); the run counts are None where no k-means ran."""
+    ending at the best cost); the run counts are None where no k-means ran.
+    The methods run on the giant component of the non-isolated survivors,
+    and each survivor outside it counts as a mismatch."""
     rng = np.random.default_rng(np.random.SeedSequence([master, r]))
     params = cfg.model(rng)
     g = dcbm.sample_adjacency(params, rng)
     g0, keep = remove_isolated(g)
-    truth0 = params.labels[keep]
+    g1, giant = graph.giant_component(g0)
+    truth = params.labels[keep[giant]]
+    dropped = g0.n - g1.n
     clock.lap("sample")
-    spectrum = eigen.leading_eigs(g0, cfg.K, seed=derived_seed(master, r, "eigs"))
+    spectrum = eigen.leading_eigs(g1, cfg.K, seed=derived_seed(master, r, "eigs"))
     clock.lap("eigs")
     out = {}
     for m in cfg.methods:
         knobs = dict(restarts=restarts)
         knobs.update(clustering.get(pipeline.parse_method(m)[2], {}))
-        res = pipeline.run_method(g0, spectrum, m, cfg.K, T_n=T_n,
+        res = pipeline.run_method(g1, spectrum, m, cfg.K, T_n=T_n,
                                   seed=derived_seed(master, r, m), **knobs)
-        ham = metrics.hamming_error(res.labels, truth0, cfg.K)
+        ham = metrics.hamming_error(res.labels, truth, cfg.K)
         km = res.kmeans
-        out[m] = (ham.mismatches, getattr(km, "restarts_used", None),
+        out[m] = (ham.mismatches + dropped,
+                  getattr(km, "restarts_used", None),
                   getattr(km, "restarts_at_best", None))
         clock.lap(m)
     return g0.n, out

@@ -416,6 +416,24 @@ def test_degenerate_model_exits_numerical_failure(tmp_path):
     assert "numerical failure" in result.output
 
 
+@pytest.mark.parametrize("k", [2, 3])
+def test_detect_exits_4_when_perron_entries_fall_below_resolution(tmp_path,
+                                                                  k):
+    # a 60-node clique with a 25-node pendant path is connected, yet the
+    # Perron vector decays along the path below the solver's resolution
+    edges = [f"{i} {j}" for i in range(60) for j in range(i + 1, 60)]
+    edges += [f"{59 + t} {60 + t}" for t in range(25)]
+    path = tmp_path / "tail.txt"
+    path.write_text("\n".join(edges) + "\n")
+    result = CliRunner().invoke(main, ["detect", "--input", str(path),
+                                       "--k", str(k)])
+    assert result.exit_code == 4
+    assert result.output.startswith("numerical failure: leading eigenvector "
+                                    "has 14 of 85 entries that are not "
+                                    "positive")
+    assert "below the eigensolver's resolution" in result.output
+
+
 @pytest.mark.parametrize("command", [["experiment"],
                                      ["spectra", "population"]])
 @pytest.mark.parametrize("A, message", [

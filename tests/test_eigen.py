@@ -4,7 +4,7 @@ import scipy.sparse as sp
 
 from scorecd import eigen, leading_eigs
 from scorecd.dcbm import DCBMParams, block_labels, sample_adjacency
-from scorecd.errors import NonConvergenceError
+from scorecd.errors import NonConvergenceError, NumericalError
 from scorecd.graph import from_edges, giant_component
 
 from conftest import build_omega
@@ -157,6 +157,16 @@ def test_argument_and_convergence_errors(rng, monkeypatch):
     with pytest.raises(NonConvergenceError) as err:
         leading_eigs(M, K=2)
     assert err.value.residuals is not None
+
+
+@pytest.mark.parametrize("op", [np.zeros((40, 40)),
+                                sp.csr_matrix((40, 40), dtype=float)],
+                         ids=["dense", "csr"])
+def test_arpack_failures_are_numerical_errors(op, monkeypatch):
+    # ARPACK refuses a start vector the operator maps to zero (error -9)
+    monkeypatch.setattr(eigen, "DENSE_CUTOFF", 0)
+    with pytest.raises(NumericalError, match="ARPACK error -9"):
+        leading_eigs(op, 1)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])

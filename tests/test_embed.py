@@ -49,20 +49,19 @@ def test_truncation_clips_and_counts():
 
 @pytest.mark.parametrize("T_n", [5.0, math.inf])
 def test_tiny_denominators_follow_the_quotient_rule(T_n):
-    # denominators of both signs far below 1e-300, one of 1e-299 and a zero
-    # numerator: each entry is the quotient (+-inf on overflow), clipped
-    v1 = np.array([1e-310, -1e-310, 1e-299, 0.6, 0.8])
-    v2 = np.array([0.5, 0.5, 0.5, 0.3, -0.4])
-    v3 = np.array([0.0, -0.5, -0.5, 0.6, 0.8])
+    # a denominator far below 1e-300, one of 1e-299 and a zero numerator:
+    # each entry is the quotient (+-inf on overflow), clipped
+    v1 = np.array([1e-310, 1e-299, 0.6, 0.8])
+    v2 = np.array([0.5, 0.5, 0.3, -0.4])
+    v3 = np.array([0.0, -0.5, 0.6, 0.8])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         rm = score_ratio(spectrum_of(np.column_stack([v1, v2, v3]),
                                      values=[3.0, 2.0, 1.0]), T_n=T_n)
     big = T_n if T_n < math.inf else 5e298
-    want = np.array([[T_n, 0.0], [-T_n, T_n], [big, -big],
-                     [0.5, 1.0], [-0.5, 1.0]])
+    want = np.array([[T_n, 0.0], [big, -big], [0.5, 1.0], [-0.5, 1.0]])
     assert np.array_equal(rm.R, want)
-    assert rm.truncated_count == (5 if T_n < math.inf else 0)
+    assert rm.truncated_count == (3 if T_n < math.inf else 0)
 
 
 def test_zero_denominator_is_degenerate():
@@ -75,11 +74,31 @@ def test_zero_denominator_is_degenerate():
 def test_mixed_sign_first_vector_is_degenerate():
     v2 = np.array([0.5, 0.5, -0.5, -0.5])
     v1 = np.array([0.5, -0.5, 0.5, -0.5])  # not a Perron vector
-    with pytest.raises(DegeneracyError, match="both signs"):
+    with pytest.raises(DegeneracyError,
+                       match=r"2 of 4 entries that are not positive"):
         score_ratio(spectrum_of(np.column_stack([v1, v2])))
-    # solver-noise zeros (a disconnected graph's Perron vector) carry no sign
+    # solver-noise zeros (a disconnected graph's Perron vector) are no
+    # exception: the ratios over them are noise too
     v1 = np.array([0.7, 0.7, 1e-17, -1e-17])
-    assert score_ratio(spectrum_of(np.column_stack([v1, v2]))).R.shape == (4, 1)
+    with pytest.raises(DegeneracyError,
+                       match=r"1 of 4 .*\(smallest -1e-17\).*resolution"):
+        score_ratio(spectrum_of(np.column_stack([v1, v2])))
+
+
+@pytest.mark.parametrize("v1", [[-0.5, -0.5, -0.5, -0.5],
+                                [0.5, math.nan, 0.5, 0.5]])
+def test_first_vector_must_be_entrywise_positive(v1):
+    v2 = np.array([0.5, 0.5, -0.5, -0.5])
+    with pytest.raises(DegeneracyError, match="not positive"):
+        score_ratio(spectrum_of(np.column_stack([v1, v2])))
+
+
+def test_the_sign_test_reads_no_tolerance():
+    v1 = np.array([0.7, 0.7, 1e-17, 1e-17])  # tiny, but positive
+    v2 = np.array([0.5, 0.5, -0.5, -0.5])
+    spec = spectrum_of(np.column_stack([v1, v2]))
+    spec = Spectrum(pairs=spec.pairs, tol=None)
+    assert score_ratio(spec, T_n=10.0).truncated_count == 2
 
 
 def test_score_ratio_needs_two_eigenpairs():

@@ -1,12 +1,13 @@
 import json
+import math
 import os
 import threading
 
 import numpy as np
 import pytest
 
-from scorecd import eigen, experiments
-from scorecd.dcbm import ThetaPattern
+from scorecd import eigen, experiments, graph, metrics, pipeline
+from scorecd.dcbm import ThetaPattern, sample_adjacency
 from scorecd.experiments import (PRESETS, ExperimentConfig, RunReport,
                                  config_from_text, run_experiment)
 from scorecd.errors import NonConvergenceError, ParseError
@@ -368,3 +369,24 @@ def test_a_process_with_other_threads_runs_one_chunk(monkeypatch):
     assert forked == []
     assert threaded.payload() == run_experiment(tiny_config(), reps=4,
                                                 restarts=10).payload()
+
+
+def test_survivors_outside_the_giant_component_count_as_mismatches():
+    # repetition 0 at this seed leaves a 2-node component beside the giant
+    # one; scoring the survivor graph whole, score erred on 535 of 1498 nodes
+    cfg, master = PRESETS["2d"], 4242000737
+    report = run_experiment(cfg, seed=master, reps=1)
+    rng = np.random.default_rng(np.random.SeedSequence([master, 0]))
+    params = cfg.model(rng)
+    g0, keep = graph.remove_isolated(sample_adjacency(params, rng))
+    g1, giant = graph.giant_component(g0)
+    assert (report.n0, g1.n) == ((1498,), 1496)
+    assert report.rates["score"][0] < 0.2
+    spectrum = eigen.leading_eigs(g1, cfg.K,
+                                  seed=derived_seed(master, 0, "eigs"))
+    for m in cfg.methods:
+        res = pipeline.run_method(g1, spectrum, m, cfg.K, T_n=math.inf,
+                                  seed=derived_seed(master, 0, m))
+        ham = metrics.hamming_error(res.labels, params.labels[keep[giant]],
+                                    cfg.K)
+        assert report.mismatches[m][0] == ham.mismatches + 2

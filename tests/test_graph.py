@@ -392,6 +392,32 @@ def test_detect_large_text_takes_the_fast_path(detect_large_dir):
                                 ) is not None
 
 
+def components_answer(g):
+    """Index array of the giant component by a full components pass."""
+    ncomp, comp = connected_components(g.adjacency, directed=False)
+    sizes = np.bincount(comp, minlength=ncomp)
+    return np.flatnonzero(comp == comp[np.argmax(sizes[comp] == sizes.max())])
+
+
+@pytest.mark.parametrize("text, full_pass", [
+    ("a b\nb c\nc d\n", False),            # connected
+    ("a b\nb c\nc d\nx y\n", False),       # node 0 in a majority
+    ("a b\nb c\nx y\ny z\n", False),       # equal halves: node 0's wins
+    ("a b\nx y\ny z\n", True),              # node 0 in a minority
+    ("a b\nc d\ne f\ng h\n", True),        # four 2-node components
+    ("a b\nb c\nx y\ny z\nu v\n", True),  # 3 + 3 + 2: below half
+])
+def test_giant_component_searches_from_node_0_first(text, full_pass):
+    g = load(text)
+    with mock.patch.object(graph, "connected_components",
+                           wraps=graph.connected_components) as spy:
+        sub, idx = giant_component(g)
+    assert spy.called == full_pass
+    assert np.array_equal(idx, components_answer(g))
+    assert sub.original_ids == tuple(g.original_ids[i] for i in idx)
+    assert (sub.adjacency != g.adjacency[idx][:, idx]).nnz == 0
+
+
 def test_giant_component_prefers_larger():
     # two triangles plus a 4-path: the path wins on size
     g = load("a b\nb c\nc a\nd e\ne f\nf d\nw x\nx y\ny z\n")
@@ -404,6 +430,7 @@ def test_giant_component_prefers_larger():
 def test_giant_component_of_connected_graph_is_identity():
     g = load("1 2\n2 3\n")
     sub, idx = giant_component(g)
+    assert sub is g
     assert sub.n == g.n
     assert sub.num_edges == g.num_edges
     assert np.array_equal(idx, np.arange(g.n))
@@ -497,11 +524,8 @@ def test_giant_component_of_one_node_or_isolated_nodes():
                 max_size=40))
 def test_giant_component_equals_undirected_components(pairs):
     g = from_edges(pairs, n=30)
-    ncomp, comp = connected_components(g.adjacency, directed=False)
-    sizes = np.bincount(comp, minlength=ncomp)
-    first_largest = comp[np.argmax(sizes[comp] == sizes.max())]
     sub, idx = giant_component(g)
-    assert np.array_equal(idx, np.flatnonzero(comp == first_largest))
+    assert np.array_equal(idx, components_answer(g))
     assert sub.original_ids == tuple(idx.tolist())
     assert (sub.adjacency != g.adjacency[idx][:, idx]).nnz == 0
 
