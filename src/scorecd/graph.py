@@ -17,7 +17,7 @@ from operator import itemgetter
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse.csgraph import breadth_first_order, connected_components
+from scipy.sparse.csgraph import connected_components
 
 from .errors import DataError, ParseError
 
@@ -241,25 +241,18 @@ def giant_component(g):
 
     Ties between equal-size components go to the one containing the smallest
     internal index (i.e. the earliest-appearing node token).  Returns the
-    subgraph and the array mapping new indices to old ones.  One
-    breadth-first search from node 0 settles the usual cases: a connected
-    graph comes back as itself, with the identity map, and a component
-    holding at least half the nodes is the giant one (no other is larger,
-    and node 0's wins a tie).  Otherwise all components are found.  The
-    adjacency is symmetric, so the directed search and the strongly
-    connected components see the undirected graph, without the transpose
-    an undirected pass builds.
+    subgraph and the array mapping new indices to old ones; a connected
+    graph comes back as itself, with the identity map.  The adjacency is
+    symmetric, so its strongly connected components are its connected
+    components; the directed search finds them without the transpose an
+    undirected search builds.
     """
     if g.n == 0:
         raise DataError("empty graph")
-    reached = breadth_first_order(g.adjacency, 0, directed=True,
-                                  return_predecessors=False)
-    if reached.size == g.n:
-        return g, np.arange(g.n)
-    if 2 * reached.size >= g.n:
-        return _induced_subgraph(g, np.sort(reached))
     ncomp, comp = connected_components(g.adjacency, directed=True,
                                        connection="strong")
+    if ncomp == 1:
+        return g, np.arange(g.n)
     sizes = np.bincount(comp, minlength=ncomp)
     best = sizes.max()
     # among components of maximal size, the one seen first wins (whatever

@@ -428,9 +428,10 @@ def test_detect_exits_4_when_perron_entries_fall_below_resolution(tmp_path,
     result = CliRunner().invoke(main, ["detect", "--input", str(path),
                                        "--k", str(k)])
     assert result.exit_code == 4
+    # how many tail entries round to <= 0 is rounding noise of the solver
     assert result.output.startswith("numerical failure: leading eigenvector "
-                                    "has 14 of 85 entries that are not "
-                                    "positive")
+                                    "has ")
+    assert "of 85 entries that are not positive" in result.output
     assert "below the eigensolver's resolution" in result.output
 
 

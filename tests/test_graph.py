@@ -399,20 +399,17 @@ def components_answer(g):
     return np.flatnonzero(comp == comp[np.argmax(sizes[comp] == sizes.max())])
 
 
-@pytest.mark.parametrize("text, full_pass", [
-    ("a b\nb c\nc d\n", False),            # connected
-    ("a b\nb c\nc d\nx y\n", False),       # node 0 in a majority
-    ("a b\nb c\nx y\ny z\n", False),       # equal halves: node 0's wins
-    ("a b\nx y\ny z\n", True),              # node 0 in a minority
-    ("a b\nc d\ne f\ng h\n", True),        # four 2-node components
-    ("a b\nb c\nx y\ny z\nu v\n", True),  # 3 + 3 + 2: below half
+@pytest.mark.parametrize("text", [
+    "a b\nb c\nc d\n",            # connected
+    "a b\nb c\nc d\nx y\n",       # node 0 in a majority
+    "a b\nb c\nx y\ny z\n",       # equal halves: node 0's wins
+    "a b\nx y\ny z\n",             # node 0 in a minority
+    "a b\nc d\ne f\ng h\n",        # four 2-node components
+    "a b\nb c\nx y\ny z\nu v\n",  # 3 + 3 + 2
 ])
-def test_giant_component_searches_from_node_0_first(text, full_pass):
+def test_giant_component_matches_the_components_answer(text):
     g = load(text)
-    with mock.patch.object(graph, "connected_components",
-                           wraps=graph.connected_components) as spy:
-        sub, idx = giant_component(g)
-    assert spy.called == full_pass
+    sub, idx = giant_component(g)
     assert np.array_equal(idx, components_answer(g))
     assert sub.original_ids == tuple(g.original_ids[i] for i in idx)
     assert (sub.adjacency != g.adjacency[idx][:, idx]).nnz == 0
