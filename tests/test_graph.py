@@ -392,29 +392,6 @@ def test_detect_large_text_takes_the_fast_path(detect_large_dir):
                                 ) is not None
 
 
-def components_answer(g):
-    """Index array of the giant component by a full components pass."""
-    ncomp, comp = connected_components(g.adjacency, directed=False)
-    sizes = np.bincount(comp, minlength=ncomp)
-    return np.flatnonzero(comp == comp[np.argmax(sizes[comp] == sizes.max())])
-
-
-@pytest.mark.parametrize("text", [
-    "a b\nb c\nc d\n",            # connected
-    "a b\nb c\nc d\nx y\n",       # node 0 in a majority
-    "a b\nb c\nx y\ny z\n",       # equal halves: node 0's wins
-    "a b\nx y\ny z\n",             # node 0 in a minority
-    "a b\nc d\ne f\ng h\n",        # four 2-node components
-    "a b\nb c\nx y\ny z\nu v\n",  # 3 + 3 + 2
-])
-def test_giant_component_matches_the_components_answer(text):
-    g = load(text)
-    sub, idx = giant_component(g)
-    assert np.array_equal(idx, components_answer(g))
-    assert sub.original_ids == tuple(g.original_ids[i] for i in idx)
-    assert (sub.adjacency != g.adjacency[idx][:, idx]).nnz == 0
-
-
 def test_giant_component_prefers_larger():
     # two triangles plus a 4-path: the path wins on size
     g = load("a b\nb c\nc a\nd e\ne f\nf d\nw x\nx y\ny z\n")
@@ -516,13 +493,25 @@ def test_giant_component_of_one_node_or_isolated_nodes():
     assert sub.original_ids == ("a",) and np.array_equal(idx, [0])
 
 
+def path(lo, hi):
+    """Edges of the path lo, lo + 1, ..., hi."""
+    return [(i, i + 1) for i in range(lo, hi)]
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.lists(st.tuples(st.integers(0, 29), st.integers(0, 29)),
                 max_size=40))
+@example(path(0, 29))                     # connected
+@example(path(0, 15) + path(20, 21))      # node 0 in a majority
+@example(path(0, 14) + path(15, 29))      # equal halves: node 0's wins
+@example(path(0, 1) + path(2, 10))        # node 0 in a minority
 def test_giant_component_equals_undirected_components(pairs):
     g = from_edges(pairs, n=30)
+    ncomp, comp = connected_components(g.adjacency, directed=False)
+    sizes = np.bincount(comp, minlength=ncomp)
+    first_largest = comp[np.argmax(sizes[comp] == sizes.max())]
     sub, idx = giant_component(g)
-    assert np.array_equal(idx, components_answer(g))
+    assert np.array_equal(idx, np.flatnonzero(comp == first_largest))
     assert sub.original_ids == tuple(idx.tolist())
     assert (sub.adjacency != g.adjacency[idx][:, idx]).nnz == 0
 
