@@ -180,7 +180,8 @@ def detect(input_spec, labels, k, method, threshold, tn, restarts, seed,
     clock.lap("giant")
     if k > g.n:
         raise ValueError(f"K={k} exceeds the {g.n}-node giant component")
-    spectrum = eigen.leading_eigs(g, k, seed=derived_seed(seed, "eigs"))
+    spectrum = eigen.leading_eigs(g, k, seed=derived_seed(seed, "eigs"),
+                                  tol=eigen.LABEL_TOL)
     clock.lap("eigs")
     result = pipeline.run_method(g, spectrum, method, k, T_n=tn, seed=seed,
                                  restarts=restarts, threshold=threshold)

@@ -113,5 +113,6 @@ def npca_embed(g, K, seed=0):
     normalized = sp.csr_matrix(
         (np.repeat(inv_sqrt, d) * inv_sqrt.take(adj.indices), adj.indices,
          adj.indptr), shape=adj.shape)
-    spectrum = eigen.leading_eigs(normalized, K, seed=seed)
+    spectrum = eigen.leading_eigs(normalized, K, seed=seed,
+                                  tol=eigen.LABEL_TOL)
     return spectrum.vectors

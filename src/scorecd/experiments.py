@@ -238,7 +238,9 @@ def _run_repetition(cfg, master, T_n, restarts, clustering, r, clock):
     truth = params.labels[keep[giant]]
     dropped = g0.n - g1.n
     clock.lap("sample")
-    spectrum = eigen.leading_eigs(g1, cfg.K, seed=derived_seed(master, r, "eigs"))
+    spectrum = eigen.leading_eigs(g1, cfg.K,
+                                  seed=derived_seed(master, r, "eigs"),
+                                  tol=eigen.LABEL_TOL)
     clock.lap("eigs")
     out = {}
     for m in cfg.methods:

@@ -325,6 +325,18 @@ def test_spectra_empirical_karate():
     assert payload["rows"][0]["residual"] < 1e-9
 
 
+def test_detect_solves_at_the_label_tolerance_and_spectra_at_the_default(
+        monkeypatch):
+    asked, solve = [], cli.eigen.leading_eigs
+    monkeypatch.setattr(cli.eigen, "leading_eigs",
+                        lambda op, K, seed=0, tol=None: asked.append(tol)
+                        or solve(op, K, seed, tol))
+    for mode in ("detect", "spectra empirical"):
+        res = run(*mode.split(), "--input", "builtin:karate", "--k", "2")
+        assert res.exit_code == 0
+    assert asked == [cli.eigen.LABEL_TOL, None]
+
+
 def test_spectra_population_and_diagnostics_preset1():
     res = run("spectra", "population", "--preset", "1", "--json")
     payload = json.loads(res.output)

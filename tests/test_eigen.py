@@ -5,7 +5,10 @@ import scipy.sparse as sp
 from scorecd import eigen, leading_eigs
 from scorecd.dcbm import DCBMParams, block_labels, sample_adjacency
 from scorecd.errors import NonConvergenceError, NumericalError
-from scorecd.graph import from_edges, giant_component
+from scorecd.experiments import PRESETS
+from scorecd.graph import (from_edges, giant_component, load_edge_list,
+                           remove_isolated)
+from scorecd.seeding import derived_seed
 
 from conftest import build_omega
 
@@ -260,3 +263,74 @@ def test_lanczos_handles_disconnected_blocks(monkeypatch):
     spec = leading_eigs(M, K=3, seed=11)
     vals, _ = dense_oracle(M, 3)
     assert np.allclose(spec.values, vals, rtol=1e-9)
+
+
+def test_tol_defaults_to_default_tol_read_at_call_time(monkeypatch):
+    M = np.diag([3.0, -2.0, 1.0])
+    assert leading_eigs(M, K=2).tol == eigen.DEFAULT_TOL == 1e-10
+    assert leading_eigs(M, K=2, tol=eigen.LABEL_TOL).tol == 1e-6
+    monkeypatch.setattr(eigen, "DEFAULT_TOL", 1e-8)
+    assert leading_eigs(M, K=2).tol == 1e-8
+
+
+@pytest.mark.parametrize("cutoff", [eigen.DENSE_CUTOFF, 0],
+                         ids=["dense", "arpack"])
+def test_label_tol_residual_contract(cutoff, monkeypatch, rng):
+    # the leading_eigs contract at the labelling tolerance: every residual
+    # within LABEL_TOL * max(1, |lambda|), unit vectors, the dense oracle's
+    # order
+    monkeypatch.setattr(eigen, "DENSE_CUTOFF", cutoff)
+    params = DCBMParams(A=np.array([[1.0, 0.3], [0.3, 1.0]]),
+                        theta=rng.uniform(0.1, 0.6, size=400),
+                        labels=block_labels((200, 200)))
+    g, _ = giant_component(sample_adjacency(params, rng))
+    ops = [g]
+    for n in (64, 300):
+        M = rng.standard_normal((n, n))
+        ops.append((M + M.T) / 2)
+    for op in ops:
+        for K in (1, 3):
+            spec = leading_eigs(op, K, seed=K, tol=eigen.LABEL_TOL)
+            assert spec.tol == eigen.LABEL_TOL
+            assert (spec.matvecs == 0) == (cutoff > 0)
+            dense = g.adjacency.toarray() if op is g else op
+            vals, _ = dense_oracle(dense, K)
+            assert np.allclose(spec.values, vals, rtol=1e-6)
+            for p in spec.pairs:
+                assert p.residual <= eigen.LABEL_TOL * max(1.0, abs(p.value))
+                assert abs(np.linalg.norm(p.vector) - 1) <= 1e-12
+
+
+def test_tie_window_follows_the_tolerance():
+    # |-lambda| exceeds |lambda| by 1e-8: a tie at 1e-6, not at 1e-10
+    M = np.diag([1.0, -1.0 - 1e-8, 0.5])
+    assert leading_eigs(M, K=2, tol=eigen.LABEL_TOL).values.tolist() == [
+        1.0, -1.0 - 1e-8]
+    assert leading_eigs(M, K=2).values.tolist() == [-1.0 - 1e-8, 1.0]
+
+
+def _products_at_both_tolerances(g, K, seed):
+    return [leading_eigs(g, K, seed=seed, tol=tol).matvecs
+            for tol in (eigen.DEFAULT_TOL, eigen.LABEL_TOL)]
+
+
+def test_label_tol_saves_products_on_preset_1():
+    # repetition 0 of preset 1 as the harness cuts it: 55 -> 38 products
+    cfg = PRESETS["1"]
+    rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 0]))
+    params = cfg.model(rng)
+    g, _ = giant_component(remove_isolated(sample_adjacency(params, rng))[0])
+    assert g.n > eigen.DENSE_CUTOFF
+    default, label = _products_at_both_tolerances(
+        g, cfg.K, derived_seed(cfg.seed, 0, "eigs"))
+    assert 0 < label < default
+
+
+def test_label_tol_saves_products_on_the_detect_large_network(
+        detect_large_dir):
+    # detect --k 2 on the gen_detect.py --seed 1 network: 55 -> 38 products
+    with open(detect_large_dir / "edges.txt") as fh:
+        g, _ = giant_component(load_edge_list(fh))
+    default, label = _products_at_both_tolerances(g, 2,
+                                                  derived_seed(0, "eigs"))
+    assert 0 < label < default

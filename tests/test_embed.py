@@ -184,8 +184,8 @@ def test_npca_operator_equals_row_then_column_scaling(monkeypatch):
     seen = []
     solve = embed.eigen.leading_eigs
     monkeypatch.setattr(embed.eigen, "leading_eigs",
-                        lambda op, K, seed: seen.append(op) or solve(op, K,
-                                                                     seed))
+                        lambda op, K, seed, **kw: seen.append(op)
+                        or solve(op, K, seed, **kw))
     npca_embed(g, K=2)
     s = 1.0 / np.sqrt(g.degrees().astype(float))
     old = g.adjacency.astype(float).multiply(s[:, None]) \
@@ -193,6 +193,16 @@ def test_npca_operator_equals_row_then_column_scaling(monkeypatch):
     for name in ("indptr", "indices", "data"):
         got, want = getattr(seen[0], name), getattr(old, name)
         assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+def test_npca_solves_at_the_label_tolerance(monkeypatch):
+    from scorecd import embed
+    asked, solve = [], embed.eigen.leading_eigs
+    monkeypatch.setattr(embed.eigen, "leading_eigs",
+                        lambda op, K, seed=0, tol=None: asked.append(tol)
+                        or solve(op, K, seed, tol))
+    npca_embed(from_edges([(0, 1), (1, 2), (2, 0), (2, 3)], n=4), K=2)
+    assert asked == [embed.eigen.LABEL_TOL]
 
 
 def test_npca_rejects_zero_degree():

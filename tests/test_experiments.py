@@ -299,12 +299,12 @@ def _failing_eigs(monkeypatch, master, failing):
     solve = eigen.leading_eigs
     seeds = {derived_seed(master, r, "eigs"): r for r in failing}
 
-    def leading_eigs(g, K, seed=None):
+    def leading_eigs(g, K, seed=None, **kw):
         if seed in seeds:
             r = seeds[seed]
             raise NonConvergenceError(f"repetition {r} failed",
                                       residuals=np.array([r, 0.5]))
-        return solve(g, K, seed=seed)
+        return solve(g, K, seed=seed, **kw)
     monkeypatch.setattr(eigen, "leading_eigs", leading_eigs)
 
 
@@ -336,9 +336,9 @@ def test_blas_threads_are_one_inside_the_pool_and_restored_after(
     _cores(monkeypatch, 2)
     seen, solve = [], eigen.leading_eigs
 
-    def leading_eigs(g, K, seed=None):
+    def leading_eigs(g, K, seed=None, **kw):
         seen.append(_blas_threads())  # this process's chunk only
-        return solve(g, K, seed=seed)
+        return solve(g, K, seed=seed, **kw)
     monkeypatch.setattr(eigen, "leading_eigs", leading_eigs)
     saved = _blas_threads()
     try:
@@ -390,3 +390,37 @@ def test_survivors_outside_the_giant_component_count_as_mismatches():
         ham = metrics.hamming_error(res.labels, params.labels[keep[giant]],
                                     cfg.K)
         assert report.mismatches[m][0] == ham.mismatches + 2
+
+
+def test_repetitions_solve_at_the_label_tolerance(monkeypatch):
+    # the adjacency solve of each repetition, and npca's normalized one
+    _cores(monkeypatch, 1)
+    asked, solve = [], eigen.leading_eigs
+
+    def leading_eigs(op, K, seed=0, tol=None):
+        asked.append((isinstance(op, graph.Graph), tol))
+        return solve(op, K, seed=seed, tol=tol)
+    monkeypatch.setattr(eigen, "leading_eigs", leading_eigs)
+    run_experiment(tiny_config(methods=("score", "npca")), reps=2,
+                   restarts=10)
+    assert asked == [(True, eigen.LABEL_TOL), (False, eigen.LABEL_TOL)] * 2
+
+
+def test_smallest_known_first_vector_margin_holds_at_the_label_tolerance():
+    # 2d, repetition 0 at this seed: min/max of v1 is 9.7e-7, the smallest
+    # margin found over 1500 2d giant components; the looser solve keeps v1
+    # positive and the labels of the 1e-10 solve
+    cfg, master = PRESETS["2d"], 4242000645
+    rng = np.random.default_rng(np.random.SeedSequence([master, 0]))
+    params = cfg.model(rng)
+    g0, _ = graph.remove_isolated(sample_adjacency(params, rng))
+    g1, _ = graph.giant_component(g0)
+    spectrum = eigen.leading_eigs(g1, cfg.K,
+                                  seed=derived_seed(master, 0, "eigs"),
+                                  tol=eigen.LABEL_TOL)
+    v1 = spectrum.pairs[0].vector
+    assert 0 < v1.min() < 1e-6 * v1.max()
+    report = run_experiment(cfg, seed=master, reps=1)
+    assert report.n0 == (1497,)
+    assert {m: report.mismatches[m][0] for m in cfg.methods} == {
+        "score": 120, "score1": 112, "score2": 113}
