@@ -24,19 +24,17 @@ RunReport.clock are summed over the workers, so they can exceed the
 elapsed time.
 """
 
-import ctypes
 import functools
 import json
 import math
 import os
 import pickle
 import signal
-import threading
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import dcbm, eigen, graph, metrics, pipeline
+from . import cores, dcbm, eigen, graph, metrics, pipeline
 from .errors import ParseError
 from .graph import data_lines, remove_isolated
 from .seeding import derived_seed
@@ -257,44 +255,6 @@ def _run_repetition(cfg, master, T_n, restarts, clustering, r, clock):
     return g0.n, out
 
 
-# thread-count getter and setter of the OpenBLAS builds numpy and scipy ship
-# (64-bit and 32-bit integers)
-_OPENBLAS_THREADS = (
-    ("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
-    ("scipy_openblas_get_num_threads", "scipy_openblas_set_num_threads"),
-)
-
-
-@functools.cache
-def _openblas_threads():
-    """(get, set, shutdown) of each loaded OpenBLAS.
-
-    get and set read and write its thread count.  shutdown stops its worker
-    threads, as OpenBLAS's own handler does before every fork; its next
-    threaded call starts them again.  Found through /proc/self/maps; empty
-    where that file or the symbols are missing.  Libraries stay loaded, so
-    the lookup is made once.
-    """
-    try:
-        with open("/proc/self/maps") as fh:
-            paths = {line.split()[-1] for line in fh}
-    except OSError:
-        return ()
-    found = []
-    for path in sorted(p for p in paths if "openblas" in os.path.basename(p)):
-        lib = ctypes.CDLL(path)
-        for names in _OPENBLAS_THREADS:
-            names += ("blas_thread_shutdown_",)
-            if all(hasattr(lib, name) for name in names):
-                get, set_, shutdown = (getattr(lib, name) for name in names)
-                get.argtypes, get.restype = [], ctypes.c_int
-                set_.argtypes, set_.restype = [ctypes.c_int], None
-                shutdown.argtypes, shutdown.restype = [], ctypes.c_int
-                found.append((get, set_, shutdown))
-                break
-    return tuple(found)
-
-
 def _fork_chunk(run, reps):
     """Start a child that runs repetitions `reps`; returns its pid and the
     read end of its pipe.
@@ -330,19 +290,14 @@ def _outcomes(run, n_reps, clock, progress):
     process runs the first and a forked child each other one.  Every loaded
     OpenBLAS runs one thread meanwhile, so the workers do not compete with
     its threads, and gets its count back afterwards.  There is one chunk
-    without a thread setter, or while other threads run in this process.
-    Children's stage seconds are added to `clock`; `progress` ticks each
-    repetition in index order; a failure raises the error of the lowest
-    failing repetition.  Every child is reaped before this returns.
+    without a thread setter, or while other threads run in this process
+    (cores.usable).  Children's stage seconds are added to `clock`;
+    `progress` ticks each repetition in index order; a failure raises the
+    error of the lowest failing repetition.  Every child is reaped before
+    this returns.
     """
-    workers = min(n_reps, len(os.sched_getaffinity(0)))
-    if threading.active_count() > 1:
-        # a child holds only the forking thread: a lock another thread held
-        # at the fork would never be released there
-        workers = 1
-    blas = _openblas_threads() if workers > 1 else ()
-    if not blas:
-        workers = 1
+    workers = min(n_reps, cores.usable())
+    blas = cores.openblas() if workers > 1 else ()
     bounds = [n_reps * w // workers for w in range(workers + 1)]
     chunks = [range(a, b) for a, b in zip(bounds, bounds[1:])]
     saved = [get() for get, _, _ in blas]

@@ -11,7 +11,9 @@ node set (the giant component, the non-isolated nodes) starts from the kept
 rows A[keep].
 """
 
+import functools
 import io
+import threading
 from dataclasses import dataclass
 from operator import itemgetter
 
@@ -19,6 +21,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.csgraph import connected_components
 
+from . import cores
 from .errors import DataError, ParseError
 
 
@@ -166,7 +169,9 @@ def _integer_edges(text):
     the line loop's.  Any other text, including one without tokens, returns
     None.  Nodes are numbered by first appearance through a table indexed by
     value; values at or above the token count are first replaced by their
-    rank among the distinct values, so the table stays below it.
+    rank among the distinct values, so the table stays below it.  With a
+    spare core (cores.usable) the numbers are converted on a helper thread
+    while this one checks the tokens; the thread ends before this returns.
     """
     if not text.isascii():
         return None
@@ -180,12 +185,29 @@ def _integer_edges(text):
     if not allowed.all():
         return None
     del allowed
-    starts = _pair_tokens(buf, digit)
-    # a leading zero is a token starting with '0' whose next byte is a digit
-    if starts is None or ((buf[starts] == ord("0")) & digit[starts + 2]).any():
+    # on digits and blanks np.fromstring neither raises nor warns, and it
+    # releases the GIL, so it can run beside the checks; OpenBLAS's idle
+    # workers would hold the other core and are stopped first
+    convert = functools.partial(np.fromstring, text, dtype=np.int64, sep=" ")
+    converted, helper = [], None
+    if cores.usable() > 1:
+        for _, _, shutdown in cores.openblas():
+            shutdown()
+        helper = threading.Thread(target=lambda: converted.append(convert()))
+        helper.start()
+    try:
+        starts = _pair_tokens(buf, digit)
+        # a leading zero: a token starting with '0' whose next byte is a digit
+        canonical = (starts is not None and not
+                     ((buf[starts] == ord("0")) & digit[starts + 2]).any())
+    finally:
+        if helper is not None:
+            helper.join()
+    if not canonical:
         return None
     del buf, digit, starts
-    values = np.fromstring(text, dtype=np.int64, sep=" ")
+    # inline, or again where the helper failed, to raise its error here
+    values = converted.pop() if converted else convert()
     top = values.max()
     if top >= 10**18:
         return None
@@ -245,11 +267,17 @@ def giant_component(g):
     graph comes back as itself, with the identity map.  The adjacency is
     symmetric, so its strongly connected components are its connected
     components; the directed search finds them without the transpose an
-    undirected search builds.
+    undirected search builds.  Components depend only on the pattern, so
+    the search reads one with float64 ones for data, sharing the adjacency's
+    index arrays: csgraph would otherwise convert the int8 data to a float64
+    copy.
     """
     if g.n == 0:
         raise DataError("empty graph")
-    ncomp, comp = connected_components(g.adjacency, directed=True,
+    adj = g.adjacency
+    pattern = sp.csr_matrix((np.ones(adj.nnz), adj.indices, adj.indptr),
+                            shape=adj.shape)
+    ncomp, comp = connected_components(pattern, directed=True,
                                        connection="strong")
     if ncomp == 1:
         return g, np.arange(g.n)

@@ -338,6 +338,22 @@ def test_row_sums_add_in_numpy_order(d):
                           np.sum(terms, axis=1))
 
 
+def test_near_tie_far_from_the_origin_is_decided_with_the_squared_norms():
+    # the two centers' squared distances, 0.9332 and 0.933076 exactly, are
+    # closer than ulp(|x|^2) = 2^-12; x @ (-2 C).T + |c|^2 alone lies near
+    # -|x|^2, rounds on that grid and picks center 0, while adding |x|^2
+    # first cancels the large part and keeps center 1 nearer, as the
+    # defining expression does
+    points = np.array([[1048576.059, 0.0]])
+    centers = np.array([[1048575.191, 0.424], [1048575.735, -0.91]])
+    sq_norms = np.sum(points ** 2, axis=1)
+    assert 0.9332 - 0.933076 < np.spacing(sq_norms[0])
+    without = points @ (-2.0 * centers).T + np.sum(centers ** 2, axis=1)
+    assert np.argmin(without, axis=1).tolist() == [0]
+    assert _ref_assign(points, sq_norms, centers).tolist() == [1]
+    assert cluster._Lloyd(points, 2)._assign(centers).tolist() == [1]
+
+
 @pytest.mark.parametrize("init", ["plusplus", "sample"])
 def test_lloyd_bit_identity_on_reseeds_and_zero_cost(init):
     # duplicates leave clusters empty, which re-seed; equal points stop at 0

@@ -1,12 +1,15 @@
+import io
 import json
 import math
 import os
 import threading
+import time
 
 import numpy as np
 import pytest
 
-from scorecd import eigen, experiments, graph, metrics, pipeline
+from scorecd import cores, eigen, experiments, graph, metrics, pipeline
+from scorecd.cli import main
 from scorecd.dcbm import ThetaPattern, sample_adjacency
 from scorecd.experiments import (PRESETS, ExperimentConfig, RunReport,
                                  config_from_text, run_experiment)
@@ -263,11 +266,11 @@ def _os_threads():
 
 
 def _blas_threads():
-    return [get() for get, _, _ in experiments._openblas_threads()]
+    return [get() for get, _, _ in cores.openblas()]
 
 
 needs_openblas = pytest.mark.skipif(
-    not experiments._openblas_threads(),
+    not cores.openblas(),
     reason="no OpenBLAS thread setter loaded: every run is one chunk")
 
 
@@ -342,7 +345,7 @@ def test_blas_threads_are_one_inside_the_pool_and_restored_after(
     monkeypatch.setattr(eigen, "leading_eigs", leading_eigs)
     saved = _blas_threads()
     try:
-        for _, set_, _ in experiments._openblas_threads():
+        for _, set_, _ in cores.openblas():
             set_(2)
         run_experiment(tiny_config(), reps=4, restarts=10)
         assert _blas_threads() == [2] * len(saved)
@@ -350,7 +353,7 @@ def test_blas_threads_are_one_inside_the_pool_and_restored_after(
         # and no OpenBLAS worker thread is left spinning
         assert _os_threads() == threading.active_count()
     finally:
-        for (_, set_, _), count in zip(experiments._openblas_threads(),
+        for (_, set_, _), count in zip(cores.openblas(),
                                        saved):
             set_(count)
 
@@ -369,6 +372,101 @@ def test_a_process_with_other_threads_runs_one_chunk(monkeypatch):
     assert forked == []
     assert threaded.payload() == run_experiment(tiny_config(), reps=4,
                                                 restarts=10).payload()
+
+
+# an integer edge list of 1.3 MB, a path on 100001 nodes
+PATH_TEXT = "".join(f"{i} {i + 1}\n" for i in range(100_000))
+
+
+def _slow_conversion(monkeypatch):
+    """np.fromstring taking 0.2 s longer; returns the list of the threads
+    it ran on."""
+    ran_on, fromstring = [], np.fromstring
+
+    def slow_fromstring(*args, **kw):
+        ran_on.append(threading.current_thread())
+        time.sleep(0.2)
+        return fromstring(*args, **kw)
+    monkeypatch.setattr(graph.np, "fromstring", slow_fromstring)
+    return ran_on
+
+
+@needs_openblas
+def test_a_parse_converts_on_a_helper_thread_that_ends_with_it(monkeypatch):
+    _cores(monkeypatch, 2)
+    ran_on = _slow_conversion(monkeypatch)
+    before = threading.active_count()
+    g = graph.load_edge_list(io.StringIO(PATH_TEXT))
+    assert threading.active_count() == before
+    assert g.n == 100_001 and g.num_edges == 100_000
+    assert len(ran_on) == 1 and ran_on[0] is not threading.main_thread()
+
+
+@needs_openblas
+@pytest.mark.parametrize("tail", ["7 8 9\n", "07 8\n"])
+def test_a_parse_rejected_during_the_conversion_joins_its_thread(
+        monkeypatch, tail):
+    # a 3-token last line, and a leading zero: the checks end well before
+    # the slowed conversion, and the parser must wait for it
+    _cores(monkeypatch, 2)
+    ran_on = _slow_conversion(monkeypatch)
+    before = threading.active_count()
+    assert graph._integer_edges(PATH_TEXT + tail) is None
+    assert threading.active_count() == before
+    assert len(ran_on) == 1 and ran_on[0] is not threading.main_thread()
+
+
+@needs_openblas
+@pytest.mark.filterwarnings(
+    "ignore::pytest.PytestUnhandledThreadExceptionWarning")
+def test_a_conversion_the_helper_could_not_finish_is_made_again(
+        monkeypatch):
+    _cores(monkeypatch, 2)
+    fromstring = np.fromstring
+
+    def failing_off_the_main_thread(*args, **kw):
+        if threading.current_thread() is not threading.main_thread():
+            raise MemoryError
+        return fromstring(*args, **kw)
+    monkeypatch.setattr(graph.np, "fromstring", failing_off_the_main_thread)
+    g = graph.load_edge_list(io.StringIO(PATH_TEXT))
+    assert g.n == 100_001 and g.num_edges == 100_000
+
+
+def test_one_usable_core_parses_without_a_thread(monkeypatch):
+    _cores(monkeypatch, 1)
+    ran_on = _slow_conversion(monkeypatch)
+    g = graph.load_edge_list(io.StringIO(PATH_TEXT))
+    assert g.n == 100_001
+    assert ran_on == [threading.main_thread()]
+
+
+@needs_openblas
+def test_a_detect_call_leaves_the_fork_pool_on(monkeypatch):
+    forked = _cores(monkeypatch, 2)
+    assert main.main(args=["detect", "--input", "builtin:karate", "--k", "2"],
+                     standalone_mode=False) in (0, None)
+    run_experiment(tiny_config(), reps=2, restarts=10)
+    assert len(forked) == 1 and _no_child_left()
+
+
+@needs_openblas
+@pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2,
+                    reason="OpenBLAS starts no worker thread on one core")
+def test_a_parse_stops_the_blas_workers(monkeypatch):
+    _cores(monkeypatch, 2)
+    saved = _blas_threads()
+    try:
+        for _, set_, _ in cores.openblas():
+            set_(2)
+        a = np.ones((300, 300))
+        a @ a  # a threaded product: the workers run and then idle
+        assert _os_threads() > threading.active_count()
+        graph.load_edge_list(io.StringIO(PATH_TEXT))
+        assert _os_threads() == threading.active_count()
+    finally:
+        for (_, set_, _), count in zip(cores.openblas(), saved):
+            set_(count)
 
 
 def test_survivors_outside_the_giant_component_count_as_mismatches():
