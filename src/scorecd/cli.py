@@ -85,11 +85,12 @@ def _load_graph(input_spec):
 
 
 def _truth_for(g, labels_path, builtin_labels, K):
+    # g.ids, not the token tuple: an int64 id array is aligned in bulk
     if labels_path:
         with _open_input(labels_path) as fh:
-            truth, codes = graph.load_labels(fh, g.original_ids)
+            truth, codes = graph.load_labels(fh, g.ids)
     elif builtin_labels is not None:
-        truth, codes = graph.load_labels(builtin_labels, g.original_ids)
+        truth, codes = graph.load_labels(builtin_labels, g.ids)
     else:
         return None
     if len(codes) > K:
@@ -101,12 +102,16 @@ def _json_with_labels(payload, labels):
     """json.dumps({**payload, "labels": labels}, indent=2), byte for byte.
 
     `payload` is a non-empty dict without a "labels" key and `labels` a list
-    of ints.  indent= selects json's pure-Python encoder, which would walk
-    the labels one by one; one join writes their block instead.
+    of non-negative ints.  indent= selects json's pure-Python encoder, which
+    would walk the labels one by one; one join of their decimal strings,
+    looked up in a table made once per value, writes their block instead.
     """
     head = json.dumps(payload, indent=2)
-    block = ",\n    ".join(map(str, labels))
-    block = f"[\n    {block}\n  ]" if labels else "[]"
+    block = "[]"
+    if labels:
+        names = [str(k) for k in range(max(labels) + 1)]
+        block = ",\n    ".join(map(names.__getitem__, labels))
+        block = f"[\n    {block}\n  ]"
     return f'{head[:-2]},\n  "labels": {block}\n}}'
 
 

@@ -2,8 +2,12 @@
 
 Graphs are immutable after construction.  Node tokens from edge-list files are
 remapped to dense indices 0..n-1 in first-appearance order; the mapping is kept
-in ``original_ids`` so results can be reported against the source labels.  The
-edge-list and label readers take an open text file and read it whole.
+in ``ids`` so results can be reported against the source labels.  A file of
+canonical integer tokens keeps them as an int64 array of their values, which
+the label reader aligns with in bulk; ``original_ids``, the tuple of tokens,
+is made from it only when read (to print ids).  The edge-list and label
+readers take an open text file and read it whole; integer texts of both go
+through one scanner, _integer_pairs.
 ``from_edges`` is the one builder: it reduces its pairs to the upper triangle
 U and hands that to ``_from_upper``, which returns the adjacency U + U^T; the
 DCBM sampler feeds its rows to ``_from_upper`` directly.  A cut to a closed
@@ -27,11 +31,23 @@ from .errors import DataError, ParseError
 
 @dataclass(frozen=True, eq=False)
 class Graph:
-    """Symmetric 0/1 adjacency with no self-loops, plus the node-id map."""
+    """Symmetric 0/1 adjacency with no self-loops, plus the node-id map.
+
+    `ids` names node i by ids[i]: a tuple of tokens, or an int64 array of
+    non-negative values, each standing for its canonical decimal token.
+    """
 
     n: int
     adjacency: sp.csr_matrix
-    original_ids: tuple
+    ids: object
+
+    @functools.cached_property
+    def original_ids(self):
+        """The node tokens as a tuple, made on first access: `ids` itself,
+        or the decimal strings of an id array."""
+        if isinstance(self.ids, np.ndarray):
+            return tuple(map(str, self.ids.tolist()))
+        return self.ids
 
     @property
     def num_edges(self):
@@ -55,7 +71,10 @@ def from_edges(edges, n, original_ids=None):
     bool, integer or whole float values in [0, n) (ValueError otherwise);
     nodes no pair names are isolated.  Each pair becomes (min, max), scipy's
     COO constructor sorts and merges them into the upper triangle U, and
-    _from_upper returns U + U^T.
+    _from_upper returns U + U^T.  `original_ids` names the nodes: a
+    sequence of tokens, kept as a tuple, or an int64 array of non-negative
+    values standing for canonical decimal tokens, kept as the array (see
+    Graph); by default the tuple (0, 1, ..., n - 1).
     """
     pairs = np.asarray(edges)
     # read the values as given: the int64 cast would truncate 1.7 to 1 and
@@ -95,8 +114,12 @@ def _from_upper(indptr, indices, n, original_ids=None):
     adj = upper + upper.T
     adj.has_canonical_format = True
     if original_ids is None:
-        original_ids = tuple(range(n))
-    return Graph(n=n, adjacency=adj, original_ids=tuple(original_ids))
+        ids = tuple(range(n))
+    elif isinstance(original_ids, np.ndarray):
+        ids = original_ids
+    else:
+        ids = tuple(original_ids)
+    return Graph(n=n, adjacency=adj, ids=ids)
 
 
 def data_lines(text):
@@ -117,8 +140,10 @@ def load_edge_list(source):
     Tokens are arbitrary strings, remapped to dense indices in
     first-appearance order.  Duplicate and reversed edges always merge and
     self-loops are dropped.  A text of canonical non-negative integer tokens
-    is parsed vectorized (`_integer_edges`); any other text goes through the
-    line loop, which gives the same Graph and reports every malformed line.
+    is parsed vectorized (`_integer_edges`), and the Graph keeps their
+    values as its int64 `ids`; any other text goes through the line loop,
+    which keeps a tuple of tokens.  Both give the same adjacency and
+    `original_ids`, and the loop reports every malformed line.
     """
     text = source.read()
     edges = _integer_edges(text)
@@ -157,21 +182,20 @@ def _pair_tokens(buf, token):
     return starts if ((counts == 0) | (counts == 2)).all() else None
 
 
-def _integer_edges(text):
-    """(m x 2 index pairs, node ids) of an all-integer edge list, or None.
+def _integer_pairs(text):
+    """Flat int64 values of a text of canonical integer pairs, or None.
 
     Applies only when `text` is ASCII digits and blanks (space, tab, CR, LF),
     every non-blank line holds two tokens, and every token is a canonical
-    decimal: no leading zero ('07' and '7' are different nodes) and a value
+    decimal: no leading zero ('07' and '7' are different tokens) and a value
     below 10**18, which a canonical token has exactly when it has at most 18
     digits (np.fromstring saturates longer ones at the int64 limit).  Then a
-    token and its value name the same node, and the indices and ids equal
-    the line loop's.  Any other text, including one without tokens, returns
-    None.  Nodes are numbered by first appearance through a table indexed by
-    value; values at or above the token count are first replaced by their
-    rank among the distinct values, so the table stays below it.  With a
-    spare core (cores.usable) the numbers are converted on a helper thread
-    while this one checks the tokens; the thread ends before this returns.
+    token and its value are interchangeable, and values 2i and 2i + 1 are the
+    tokens of the i-th data line.  Any other text, including one without
+    tokens, returns None.  With a spare core (cores.usable) the numbers are
+    converted on a helper thread while this one checks the tokens; the
+    thread ends before this returns.  Both readers of integer texts,
+    _integer_edges and _integer_labels, call this one scanner.
     """
     if not text.isascii():
         return None
@@ -208,14 +232,23 @@ def _integer_edges(text):
     del buf, digit, starts
     # inline, or again where the helper failed, to raise its error here
     values = converted.pop() if converted else convert()
-    top = values.max()
-    if top >= 10**18:
-        return None
+    return values if values.max() < 10**18 else None
+
+
+def _first_appearance(values):
+    """(index, heads) of a non-empty array of non-negative integers.
+
+    index numbers each entry's value by first appearance (int64, from 0);
+    heads holds the distinct values in that order.  The numbering goes
+    through a table indexed by value; values at or above the entry count are
+    first replaced by their rank among the distinct values, so the table
+    stays below it.
+    """
     n = values.size
     distinct = None
-    if top >= n:
+    if values.max() >= n:
         # too large for a table: each value becomes its rank among the
-        # distinct values, which names the same nodes in the same order
+        # distinct values, which names the same values in the same order
         distinct, values = np.unique(values, return_inverse=True)
     # each value's first position, in a table indexed by value
     first = np.full(int(values.max()) + 1, n, dtype=np.int64)
@@ -223,13 +256,28 @@ def _integer_edges(text):
     np.minimum.at(first, values, pos)
     heads = values[first[values] == pos]  # distinct, by first position
     del pos
-    # the table now maps each head to its node index; no other entry is read
+    # the table now maps each head to its number; no other entry is read
     first[heads] = np.arange(heads.size)
     index = first[values]
     del values, first
     if distinct is not None:
         heads = distinct[heads]
-    return index.reshape(-1, 2), tuple(map(str, heads.tolist()))
+    return index, heads
+
+
+def _integer_edges(text):
+    """(m x 2 index pairs, int64 ids) of an all-integer edge list, or None.
+
+    The text must pass _integer_pairs (None otherwise); nodes are numbered
+    by first appearance, and the ids array holds each node's value, which
+    stands for its canonical decimal token.  The indices, and the ids as
+    strings, equal the line loop's.
+    """
+    values = _integer_pairs(text)
+    if values is None:
+        return None
+    index, heads = _first_appearance(values)
+    return index.reshape(-1, 2), heads
 
 
 def _induced_subgraph(g, keep):
@@ -251,11 +299,14 @@ def _induced_subgraph(g, keep):
     sub = sp.csr_matrix((rows.data, indices, rows.indptr),
                         shape=(keep.size, keep.size))
     sub.has_canonical_format = True
-    pick = keep.tolist()
-    # itemgetter of one index returns the bare item, not a 1-tuple
-    ids = (itemgetter(*pick)(g.original_ids) if len(pick) > 1
-           else tuple(g.original_ids[i] for i in pick))
-    return Graph(n=keep.size, adjacency=sub, original_ids=ids), keep
+    if isinstance(g.ids, np.ndarray):
+        ids = g.ids[keep]
+    else:
+        pick = keep.tolist()
+        # itemgetter of one index returns the bare item, not a 1-tuple
+        ids = (itemgetter(*pick)(g.ids) if len(pick) > 1
+               else tuple(g.ids[i] for i in pick))
+    return Graph(n=keep.size, adjacency=sub, ids=ids), keep
 
 
 def giant_component(g):
@@ -388,6 +439,46 @@ def load_labels(source, id_order):
 
     The file format is read_labels'; the coding is code_labels': an integer
     vector of labels 1..K by first appearance along `id_order`, plus the
-    label-to-code map.  Unlabeled nodes are an error.
+    label-to-code map.  Unlabeled nodes are an error.  `id_order` is a
+    sequence of node tokens or a Graph's `ids`; an int64 id array with a
+    text of canonical integer pairs is read vectorized (_integer_labels),
+    and any other input goes through read_labels and code_labels on the
+    tokens, with the same result.
     """
+    if isinstance(id_order, np.ndarray) and id_order.dtype == np.int64:
+        text = source.read()
+        coded = _integer_labels(text, id_order)
+        if coded is not None:
+            return coded
+        source, id_order = io.StringIO(text), id_order.tolist()
     return code_labels(read_labels(source), id_order)
+
+
+def _integer_labels(text, ids):
+    """load_labels' (vector, codes) for the int64 id array `ids`, or None.
+
+    Applies only when `text` passes _integer_pairs, `ids` is non-empty and
+    non-negative, no node is listed twice with different labels and every
+    id has a label; any other input returns None, for the line loop to
+    report its error or read it.  The labels go into a table indexed by
+    node value (by rank among the node values and ids when a value reaches
+    their count), are read at `ids` and numbered by first appearance.
+    """
+    values = _integer_pairs(text) if ids.size else None
+    if values is None or ids.min() < 0:
+        return None
+    m = values.size // 2
+    keys = np.concatenate([values[0::2], ids])
+    if keys.max() >= keys.size:
+        keys = np.unique(keys, return_inverse=True)[1]
+    table = np.full(keys.max() + 1, -1, dtype=np.int64)
+    table[keys[:m]] = values[1::2]
+    # a node with two labels keeps one of them, so its other row mismatches
+    if (table[keys[:m]] != values[1::2]).any():
+        return None
+    found = table[keys[m:]]
+    if found.min() < 0:
+        return None
+    index, heads = _first_appearance(found)
+    return index + 1, {str(lab): k for k, lab in
+                       enumerate(heads.tolist(), start=1)}

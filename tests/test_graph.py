@@ -604,3 +604,97 @@ def test_label_fast_path_equals_line_loop(data):
 def test_label_edge_cases_equal_line_loop(text):
     assert (label_outcome(graph.read_labels, text, ["a"])
             == label_outcome(read_by_loop, text, ["a"]))
+
+
+NODE_VALUES = st.integers(0, 12) | st.integers(0, 10**18 - 1)
+LABEL_VALUES = st.integers(0, 3) | st.integers(0, 10**18 - 1)
+# per generated text, at most one kind of line or id the vectorized path
+# hands to the line loop; "clean" and "repeat same" stay vectorized
+INTEGER_LABEL_FLAVORS = ("clean", "repeat same", "repeat conflict", "missing",
+                         "leading zero", "19 digits", "header", "one token")
+
+
+@st.composite
+def integer_label_case(draw):
+    """(flavor, label text, int64 ids) of an integer label file."""
+    flavor = draw(st.sampled_from(INTEGER_LABEL_FLAVORS))
+    nodes = draw(st.lists(NODE_VALUES, min_size=1, max_size=8, unique=True))
+    if flavor == "19 digits":  # a node id no canonical 18-digit token names
+        nodes[-1] = draw(st.integers(10**18, 2**63 - 1).filter(
+            lambda v: v not in nodes))
+    rows = [[str(v), str(draw(LABEL_VALUES))] for v in nodes]
+    extra = None
+    if flavor in ("repeat same", "repeat conflict"):
+        node, lab = draw(st.sampled_from(rows))
+        if flavor == "repeat conflict":
+            lab = str(draw(LABEL_VALUES.filter(lambda v: str(v) != lab)))
+        extra = [node, lab]
+    elif flavor == "leading zero":  # '07' beside '7'
+        extra = ["0" + draw(st.sampled_from(rows))[0],
+                 str(draw(LABEL_VALUES))]
+    elif flavor == "header":
+        extra = ["node", "label"]
+    if extra:
+        rows.insert(draw(st.integers(0, len(rows))), extra)
+    if flavor == "one token":
+        lines = [tok for row in rows for tok in row]
+    else:
+        lines = [draw(BLANKS).join(row) for row in rows]
+    text = "".join(line + draw(st.sampled_from(["\n", "\r\n"]))
+                   for line in lines)
+    if draw(st.booleans()):
+        text = text.rstrip("\r\n")  # no final newline
+    ids = draw(st.permutations(nodes))[:draw(st.integers(1, len(nodes)))]
+    if flavor == "missing":
+        ids.insert(draw(st.integers(0, len(ids))),
+                   draw(NODE_VALUES.filter(lambda v: v not in nodes)))
+    return flavor, text, np.array(ids, dtype=np.int64)
+
+
+def coded_outcome(load):
+    """Vector and codes of load(), or the error it raises."""
+    try:
+        labels, codes = load()
+    except DataError as exc:
+        return type(exc), str(exc), getattr(exc, "line_no", None)
+    return labels.dtype, labels.tolist(), list(codes.items())
+
+
+def int64(*values):
+    return np.array(values, dtype=np.int64)
+
+
+@settings(max_examples=80, deadline=None)
+@given(integer_label_case())
+@example(("clean", "0 2\r\n1 1\r\n2 2", int64(2, 0, 1)))  # table, codes 2, 1
+@example(("clean", "999999999999999999 7\n3 5\n",
+          int64(3, 999999999999999999)))            # the rank path
+@example(("repeat same", "4 1\n5 2\n4 1\n", int64(5, 4)))
+@example(("repeat conflict", "4 1\n5 2\n4 2\n", int64(5)))
+@example(("missing", "4 1\n5 2\n", int64(4, 6, 5, 7)))
+@example(("leading zero", "7 1\n07 2\n", int64(7)))
+@example(("header", "node label\n7 1\n", int64(7)))
+@example(("one token", "7\n1\n", int64(7)))
+@example(("negative id", "1 2\n", int64(1, -1)))
+def test_integer_label_path_equals_line_loop(case):
+    flavor, text, ids = case
+    vectorized = graph._integer_labels(text, ids)
+    assert (vectorized is not None) == (flavor in ("clean", "repeat same"))
+    tokens = [str(v) for v in ids.tolist()]
+    assert (coded_outcome(lambda: load_labels(io.StringIO(text), ids))
+            == coded_outcome(lambda: graph.code_labels(
+                read_by_loop(io.StringIO(text)), tokens)))
+
+
+@pytest.mark.parametrize("text", [
+    "5 6\n1 2\n2 3\n",           # the giant component is not the first
+    "9 9\n4 7\n7 8\n",           # a self-loop leaves node 9 isolated
+    "30 10\n11 12\n10 20\n12 13\n13 14\n"])
+def test_cuts_of_an_integer_graph_equal_line_loop(text):
+    for cut in (giant_component, remove_isolated):
+        got, got_keep = cut(load(text))
+        want, want_keep = cut(load_by_loop(io.StringIO(text)))
+        assert isinstance(got.ids, np.ndarray) and got.ids.dtype == np.int64
+        assert isinstance(want.ids, tuple)
+        assert got.original_ids == want.original_ids
+        assert np.array_equal(got_keep, want_keep)
