@@ -176,12 +176,20 @@ def main():
 @_guard
 def detect(input_spec, labels, k, method, threshold, tn, restarts, seed,
            as_json, as_csv, out):
-    """Detect communities in a real network (giant component is used)."""
+    """Detect communities in a real network (giant component is used).
+
+    \f
+    Only the node count of the loaded graph is read after the cut, so it is
+    dropped there: from the solve on, the giant component is the one graph
+    held (load_edge_list has already dropped the text).
+    """
     pipeline.check_method(method, k, threshold)
     clock = pipeline.StageClock()
     g_raw, builtin_labels = _load_graph(input_spec)
     clock.lap("load")
+    n_loaded = g_raw.n
     g, _ = graph.giant_component(g_raw)
+    del g_raw
     clock.lap("giant")
     if k > g.n:
         raise ValueError(f"K={k} exceeds the {g.n}-node giant component")
@@ -205,7 +213,7 @@ def detect(input_spec, labels, k, method, threshold, tn, restarts, seed,
         return
     payload = {
         "input": input_spec, "method": result.method, "K": k, "seed": seed,
-        "n_loaded": g_raw.n, "n0": g.n, "edges": g.num_edges,
+        "n_loaded": n_loaded, "n0": g.n, "edges": g.num_edges,
         "threshold": result.threshold,
         "wall_clock_s": clock.totals(),
     }

@@ -93,10 +93,12 @@ def from_edges(edges, n, original_ids=None):
     lo = np.minimum(pairs[:, 0], pairs[:, 1])
     hi = np.maximum(pairs[:, 0], pairs[:, 1])
     edge = lo != hi
+    if not edge.all():  # drop the self-loops; without any, copy nothing
+        lo, hi = lo[edge], hi[edge]
     # the constructor sums duplicates; int8 sums can wrap, but only the
     # sparsity pattern of `upper` is read
-    upper = sp.csr_matrix((np.ones(np.count_nonzero(edge), dtype=np.int8),
-                           (lo[edge], hi[edge])), shape=(n, n))
+    upper = sp.csr_matrix((np.ones(lo.size, dtype=np.int8), (lo, hi)),
+                          shape=(n, n))
     return _from_upper(upper.indptr, upper.indices, n, original_ids)
 
 
@@ -143,11 +145,14 @@ def load_edge_list(source):
     is parsed vectorized (`_integer_edges`), and the Graph keeps their
     values as its int64 `ids`; any other text goes through the line loop,
     which keeps a tuple of tokens.  Both give the same adjacency and
-    `original_ids`, and the loop reports every malformed line.
+    `original_ids`, and the loop reports every malformed line.  The reader
+    lets go of a text the vectorized parse accepted before it builds the
+    graph, so it does not hold the text and the graph's arrays at once.
     """
     text = source.read()
     edges = _integer_edges(text)
     if edges is not None:
+        del text
         pairs, ids = edges
         return from_edges(pairs, n=len(ids), original_ids=ids)
     index = {}
@@ -170,16 +175,22 @@ def _pair_tokens(buf, token):
 
     `buf` holds the text's bytes and `token` flags its token bytes, padded
     with a False at each end; every other byte must be a blank (space, tab,
-    CR or LF), and only LF ends a line.  Returns None for a text without
-    tokens or with a line of one, three or more tokens.
+    CR or LF), and only LF ends a line.  Every line then holds none or two
+    tokens exactly when the token count is even, no line feed falls inside
+    a pair (from the start of token 2i to that of token 2i + 1) and at least
+    one falls between pairs (from the start of token 2i + 1 to that of token
+    2i + 2).  One boolean pass over the text tells which spans hold one;
+    no per-line array is built.  Returns None for a text without tokens or
+    with a line of one, three or more tokens.
     """
     starts = np.flatnonzero(token[1:] > token[:-1])
-    if starts.size == 0:
+    if starts.size == 0 or starts.size % 2:
         return None
-    # tokens before each line feed, then per line (the last line may lack one)
-    before = np.searchsorted(starts, np.flatnonzero(buf == ord("\n")))
-    counts = np.diff(before, prepend=0, append=starts.size)
-    return starts if ((counts == 0) | (counts == 2)).all() else None
+    # span i runs from the start of token i to the next token's start (the
+    # last one to the end of the text); does it hold a line feed?
+    feed = np.logical_or.reduceat(buf == ord("\n"), starts)
+    inside, between = feed[::2], feed[1:-1:2]
+    return starts if between.all() and not inside.any() else None
 
 
 def _integer_pairs(text):
@@ -192,23 +203,24 @@ def _integer_pairs(text):
     digits (np.fromstring saturates longer ones at the int64 limit).  Then a
     token and its value are interchangeable, and values 2i and 2i + 1 are the
     tokens of the i-th data line.  Any other text, including one without
-    tokens, returns None.  With a spare core (cores.usable) the numbers are
+    tokens, returns None.  The byte class is checked with one
+    bytes.translate of the encoded text, whose one full-size buffer is
+    freed before it returns; the token rule with one boolean pass
+    (_pair_tokens).  With a spare core (cores.usable) the numbers are
     converted on a helper thread while this one checks the tokens; the
     thread ends before this returns.  Both readers of integer texts,
     _integer_edges and _integer_labels, call this one scanner.
     """
     if not text.isascii():
         return None
-    buf = np.frombuffer(text.encode("ascii"), dtype=np.uint8)
+    raw = text.encode("ascii")
+    # deleting every digit and blank leaves nothing
+    if raw.translate(None, b"0123456789 \t\r\n"):
+        return None
+    buf = np.frombuffer(raw, dtype=np.uint8)
     # digit flags with a non-digit pad at each end (uint8 wraps below '0')
     digit = np.zeros(buf.size + 2, dtype=bool)
     np.less(buf - ord("0"), 10, out=digit[1:-1])
-    allowed = digit[1:-1].copy()
-    for blank in b" \t\r\n":
-        allowed |= buf == blank
-    if not allowed.all():
-        return None
-    del allowed
     # on digits and blanks np.fromstring neither raises nor warns, and it
     # releases the GIL, so it can run beside the checks; OpenBLAS's idle
     # workers would hold the other core and are stopped first
@@ -223,13 +235,13 @@ def _integer_pairs(text):
         starts = _pair_tokens(buf, digit)
         # a leading zero: a token starting with '0' whose next byte is a digit
         canonical = (starts is not None and not
-                     ((buf[starts] == ord("0")) & digit[starts + 2]).any())
+                     ((buf[starts] == ord("0")) & digit[2:][starts]).any())
     finally:
         if helper is not None:
             helper.join()
     if not canonical:
         return None
-    del buf, digit, starts
+    del raw, buf, digit, starts
     # inline, or again where the helper failed, to raise its error here
     values = converted.pop() if converted else convert()
     return values if values.max() < 10**18 else None

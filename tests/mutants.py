@@ -9,8 +9,9 @@ to a temporary directory and mutated there, and the tests run on the copy as
 that scorecd is imported from the copy's src (an installed scorecd could
 otherwise shadow it).  Pytest's exit code 1 (tests failed) means the mutant
 was killed; a surviving mutant, any other exit code and a text that does not
-apply each fail the run (exit status 1).  Uses the standard library and
-pytest only.
+apply each fail the run (exit status 1).  Two mutants run at a time, each
+in its own copy; the report follows the order of mutants.json.  Uses the
+standard library and pytest only.
 """
 
 import json
@@ -19,6 +20,7 @@ import shutil
 import subprocess
 import sys
 import tempfile
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -27,6 +29,7 @@ IGNORE = shutil.ignore_patterns(".git", "__pycache__", ".pytest_cache",
                                 ".hypothesis", ".bench_work", ".bench_build",
                                 "*.egg-info")
 WRONG_IMPORT = 99  # not one of pytest's exit codes
+WORKERS = 2  # mutants run at a time, each a pytest process on its own copy
 # python -m pytest, preceded by the import check in the same interpreter
 CHILD = f"""
 import sys
@@ -64,14 +67,20 @@ def run_mutant(entry, tmp):
     return f"exit code {proc.returncode}\n  {tail}"
 
 
+def run_on_copy(entry):
+    """run_mutant in a temporary directory of its own."""
+    with tempfile.TemporaryDirectory(prefix="mutant-") as tmp:
+        return run_mutant(entry, tmp)
+
+
 def main():
     entries = json.loads(MUTANTS.read_text())
     failed = 0
-    for entry in entries:
-        with tempfile.TemporaryDirectory(prefix="mutant-") as tmp:
-            outcome = run_mutant(entry, tmp)
-        failed += outcome != "killed"
-        print(f"{entry['file']}: {entry['why']}\n  {outcome}", flush=True)
+    with ThreadPoolExecutor(WORKERS) as pool:
+        # map yields the outcomes in the order of `entries`
+        for entry, outcome in zip(entries, pool.map(run_on_copy, entries)):
+            failed += outcome != "killed"
+            print(f"{entry['file']}: {entry['why']}\n  {outcome}", flush=True)
     print(f"{len(entries) - failed} of {len(entries)} mutants killed")
     return 1 if failed else 0
 

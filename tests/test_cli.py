@@ -337,6 +337,30 @@ def test_detect_solves_at_the_label_tolerance_and_spectra_at_the_default(
     assert asked == [cli.eigen.LABEL_TOL, None]
 
 
+def test_detect_drops_the_loaded_graph_before_the_solve(tmp_path,
+                                                        monkeypatch):
+    # a 6-node and a 2-node component: the cut is a new, smaller graph
+    edges = tmp_path / "edges.txt"
+    edges.write_text("0 1\n1 2\n2 0\n2 3\n3 4\n4 5\n5 3\n6 7\n")
+    loaded, alive = [], []
+    cut, solve = graph.giant_component, cli.eigen.leading_eigs
+
+    def spy_cut(g):
+        loaded.append(weakref.ref(g))
+        return cut(g)
+
+    def spy_solve(op, *args, **kw):
+        alive.append(loaded[0]() is not None)
+        return solve(op, *args, **kw)
+
+    monkeypatch.setattr(graph, "giant_component", spy_cut)
+    monkeypatch.setattr(cli.eigen, "leading_eigs", spy_solve)
+    res = run("detect", "--input", str(edges), "--k", "2", "--json")
+    payload = json.loads(res.output)
+    assert (payload["n_loaded"], payload["n0"]) == (8, 6)
+    assert alive == [False]
+
+
 def test_spectra_population_and_diagnostics_preset1():
     res = run("spectra", "population", "--preset", "1", "--json")
     payload = json.loads(res.output)

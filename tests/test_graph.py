@@ -298,7 +298,14 @@ def test_fast_path_equals_line_loop(data):
     "5\n6\n", "1 2 3 4\n", "1 2\n3\n4\n", "07 7\n", "0 00\n",
     "999999999999999999 1000000000000000000\n",
     "9223372036854775807 9223372036854775808\n", "1 2\r3 4\n", "1\f2\n",
-    "1\v2\n", "\u00e9 1\n", "\n\n", "1 2"])
+    "1\v2\n", "\u00e9 1\n", "\n\n", "1 2",
+    # line layouts of the pair scanner: an even token total from a 3-token
+    # and a 1-token line, in both orders; a pair beside a 4-token line; an
+    # odd total without a final LF; blank and whitespace-only lines between
+    # pairs; CRLF; no final LF; only blank lines
+    "1 2 3\n4\n", "1\n2 3 4\n", "1 2\n3 4 5 6\n", "1 2\n3",
+    "1 2\n\n \t\n\r\n3 4\n", "1 2\r\n3 4\r\n", "1 2\n3 4",
+    "\n \n\t\r\n"])
 def test_fast_path_edge_cases_equal_line_loop(text):
     assert (outcome(load_edge_list, io.StringIO(text))
             == outcome(load_by_loop, io.StringIO(text)))
@@ -676,6 +683,15 @@ def int64(*values):
 @example(("header", "node label\n7 1\n", int64(7)))
 @example(("one token", "7\n1\n", int64(7)))
 @example(("negative id", "1 2\n", int64(1, -1)))
+# line layouts of the pair scanner, as in the edge-list edge cases
+@example(("token count", "7 1 8\n2\n", int64(7, 8)))
+@example(("token count", "7\n1 8 2\n", int64(7, 8)))
+@example(("token count", "7 1\n8 2 9 3\n", int64(7, 8)))
+@example(("one token", "7 1\n8", int64(7)))
+@example(("clean", "7 1\n\n \t\n\r\n8 2\n", int64(8, 7)))
+@example(("clean", "7 1\r\n8 2\r\n", int64(8, 7)))
+@example(("clean", "7 1\n8 2", int64(8, 7)))
+@example(("blank", "\n \n\t\r\n", int64(7)))
 def test_integer_label_path_equals_line_loop(case):
     flavor, text, ids = case
     vectorized = graph._integer_labels(text, ids)
