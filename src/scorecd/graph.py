@@ -6,8 +6,9 @@ in ``ids`` so results can be reported against the source labels.  A file of
 canonical integer tokens keeps them as an int64 array of their values, which
 the label reader aligns with in bulk; ``original_ids``, the tuple of tokens,
 is made from it only when read (to print ids).  The edge-list and label
-readers take an open text file and read it whole; integer texts of both go
-through one scanner, _integer_pairs.
+readers take an open text file and read it whole, each by two paths: integer
+texts of both go through one scanner, _integer_pairs, and every other text
+through a per-line loop over data_lines.
 ``from_edges`` is the one builder: it reduces its pairs to the upper triangle
 U and hands that to ``_from_upper``, which returns the adjacency U + U^T; the
 DCBM sampler feeds its rows to ``_from_upper`` directly.  A cut to a closed
@@ -170,20 +171,21 @@ def load_edge_list(source):
                       original_ids=tuple(index))
 
 
-def _pair_tokens(buf, token):
+def _pair_tokens(buf, digit):
     """Token starts of a text whose every line holds none or two tokens.
 
-    `buf` holds the text's bytes and `token` flags its token bytes, padded
-    with a False at each end; every other byte must be a blank (space, tab,
-    CR or LF), and only LF ends a line.  Every line then holds none or two
-    tokens exactly when the token count is even, no line feed falls inside
-    a pair (from the start of token 2i to that of token 2i + 1) and at least
-    one falls between pairs (from the start of token 2i + 1 to that of token
-    2i + 2).  One boolean pass over the text tells which spans hold one;
-    no per-line array is built.  Returns None for a text without tokens or
-    with a line of one, three or more tokens.
+    `buf` holds the bytes of a text of ASCII digits and blanks (space, tab,
+    CR, LF), as _integer_pairs has checked, and `digit` flags its digit
+    bytes, padded with a False at each end; a token is a run of digits, and
+    only LF ends a line.  Every line then holds none or two tokens exactly
+    when the token count is even, no line feed falls inside a pair (from
+    the start of token 2i to that of token 2i + 1) and at least one falls
+    between pairs (from the start of token 2i + 1 to that of token 2i + 2).
+    One boolean pass over the text tells which spans hold one; no per-line
+    array is built.  Returns None for a text without tokens or with a line
+    of one, three or more tokens.
     """
-    starts = np.flatnonzero(token[1:] > token[:-1])
+    starts = np.flatnonzero(digit[1:] > digit[:-1])
     if starts.size == 0 or starts.size % 2:
         return None
     # span i runs from the start of token i to the next token's start (the
@@ -338,10 +340,11 @@ def giant_component(g):
     if g.n == 0:
         raise DataError("empty graph")
     adj = g.adjacency
-    pattern = sp.csr_matrix((np.ones(adj.nnz), adj.indices, adj.indptr),
-                            shape=adj.shape)
-    ncomp, comp = connected_components(pattern, directed=True,
-                                       connection="strong")
+    # the pattern is built inline, so it is freed when the search returns
+    ncomp, comp = connected_components(
+        sp.csr_matrix((np.ones(adj.nnz), adj.indices, adj.indptr),
+                      shape=adj.shape),
+        directed=True, connection="strong")
     if ncomp == 1:
         return g, np.arange(g.n)
     sizes = np.bincount(comp, minlength=ncomp)
@@ -374,17 +377,12 @@ def read_labels(source):
     the table keeps file order.  One "node label" pair per line, separated by
     whitespace or a comma, so the `node,label` CSV that `detect --csv` writes
     reads back; that header line is skipped.  A node listed twice with
-    different labels is an error, as is a file with no pairs.  A text of
-    plain pairs (see _label_table) is read by one split; any other text goes
-    through the line loop, which gives the same table and reports every
-    malformed line.
+    different labels is an error, as is a file with no pairs.  This line
+    loop reads every label text that load_labels does not align in bulk
+    (_integer_labels), and reports every malformed line.
     """
-    text = source.read()
-    table = _label_table(text)
-    if table is not None:
-        return table
     table = {}
-    for line_no, line in data_lines(text):
+    for line_no, line in data_lines(source.read()):
         toks = line.replace(",", " ").split()
         if len(toks) != 2:
             raise ParseError(f"expected 'node label', got: {line!r}", line_no=line_no)
@@ -397,36 +395,6 @@ def read_labels(source):
     if not table:
         raise DataError("empty label file: no 'node label' pairs found")
     return table
-
-
-def _label_table(text):
-    """read_labels' table of a label text of plain pairs, or None.
-
-    Applies only when every non-blank line holds two tokens split by blanks
-    (space, tab, CR), the text holds no '#', '%' or ',', its first pair is
-    not the `node label` header and no node repeats.  Then one split of the
-    whole text gives the loop's pairs in file order.  Any other text,
-    including one without tokens, returns None.
-    """
-    if "#" in text or "%" in text or "," in text:
-        return None
-    buf = np.frombuffer(text.encode("utf-8", "surrogatepass"), dtype=np.uint8)
-    token = np.ones(buf.size + 2, dtype=bool)
-    token[0] = token[-1] = False
-    for blank in b" \t\r\n":
-        token[1:-1] &= buf != blank
-    if _pair_tokens(buf, token) is None:
-        return None
-    toks = text.split()
-    # str.split also breaks at other whitespace (form feed, U+00A0, ...),
-    # which the byte check counted as token bytes: the tokens must keep
-    # every character that is not a blank
-    blanks = buf.size - np.count_nonzero(token)
-    if (len("".join(toks)) != len(text) - blanks
-            or toks[:2] == ["node", "label"]):
-        return None
-    table = dict(zip(toks[0::2], toks[1::2]))
-    return table if 2 * len(table) == len(toks) else None
 
 
 def code_labels(table, id_order):

@@ -523,94 +523,42 @@ def test_giant_component_equals_undirected_components(pairs):
     assert (sub.adjacency != g.adjacency[idx][:, idx]).nnz == 0
 
 
-def read_by_loop(source):
-    """read_labels with the one-split fast path switched off."""
-    with mock.patch.object(graph, "_label_table", lambda text: None):
-        return graph.read_labels(source)
+# the line loop's outcome on each text: the items of read_labels' table in
+# order and code_labels(table, ["a"]), or the error and its line number
+LABEL_EDGE_CASES = {
+    "node label\na 1\n": ([("a", "1")], [1], [("1", 1)]),
+    "node,label\na,1\n": ([("a", "1")], [1], [("1", 1)]),
+    "a 1\nnode label\n": ([("a", "1"), ("node", "label")], [1], [("1", 1)]),
+    "a 1\r\nb\t2\r\n": ([("a", "1"), ("b", "2")], [1], [("1", 1)]),
+    "\u00e9 x\n\u00e8 y": (DataError, "1 nodes have no ground-truth label "
+                          "(first missing: 'a')", None),
+    "a 1\na 1\n": ([("a", "1")], [1], [("1", 1)]),
+    "a 1\na 2\n": (ParseError, "line 2: node 'a' labeled both '1' and '2'", 2),
+    "a 1\n# b 2\n": ([("a", "1")], [1], [("1", 1)]),
+    "a\u00a0b 1\n": (ParseError, "line 1: expected 'node label', got: "
+                    "'a\\xa0b 1'", 1),
+    "a\u00a0b 1\nc\u00a0d 2\n": (ParseError, "line 1: expected 'node label', "
+                                "got: 'a\\xa0b 1'", 1),
+    "a, 1\n": ([("a", "1")], [1], [("1", 1)]),
+    "a 1 2\n": (ParseError, "line 1: expected 'node label', got: 'a 1 2'", 1),
+    "\n \n": (DataError, "empty label file: no 'node label' pairs found", None),
+    "": (DataError, "empty label file: no 'node label' pairs found", None),
+    "a 1\rb 2\n": (ParseError, "line 1: expected 'node label', got: "
+                   "'a 1\\rb 2'", 1),
+}
 
 
-def label_outcome(read, text, id_order):
-    """Table (in order), vector and codes of a label text, or the error."""
-    try:
-        table = read(io.StringIO(text))
-        labels, codes = graph.code_labels(table, id_order)
-    except DataError as exc:
-        return type(exc), str(exc), getattr(exc, "line_no", None)
-    return (list(table.items()), labels.dtype, labels.tolist(),
-            list(codes.items()))
-
-
-NODE_STEMS = st.sampled_from(["a", "n", "1", "10", "\u00e9", "\u0436x"])
-LABEL_TOKENS = st.sampled_from(["1", "2", "red", "blue", "\u00e9"])
-# per generated text, at most one kind of line the fast path refuses
-LABEL_FLAVORS = ("clean", "header", "comma", "comment", "repeat same",
-                 "repeat conflict", "odd whitespace", "odd separator",
-                 "token count")
-
-
-@st.composite
-def label_text(draw, flavor):
-    """Label-file lines with their endings, plus the node tokens they name."""
-    odd_space = st.sampled_from(["\f", "\v", "\x1c", "\u00a0", "\u2003"])
-    inner = odd_space if flavor == "odd whitespace" else st.just("")
-    nodes = [draw(NODE_STEMS) + draw(inner) + str(i)
-             for i in range(draw(st.integers(1, 8)))]
-    pairs = [[node, draw(LABEL_TOKENS)] for node in nodes]
-    rows = [draw(BLANKS).join(pair) for pair in pairs]
-    odd_seps = {"comma": st.sampled_from([",", " , ", ", ", " ,"]),
-                "odd separator": odd_space | odd_space.map(" ".__add__)}
-    if flavor in odd_seps:  # one pair split by a comma or odd whitespace
-        k = draw(st.integers(0, len(rows) - 1))
-        rows[k] = draw(odd_seps[flavor]).join(pairs[k])
-    if flavor in ("repeat same", "repeat conflict"):
-        node, lab = draw(st.sampled_from(pairs))
-        if flavor == "repeat conflict":
-            lab = draw(LABEL_TOKENS.filter(lambda other: other != lab))
-        rows.insert(draw(st.integers(0, len(rows))), f"{node} {lab}")
-    odd = {"header": ["node label", "node,label", "node\tlabel"],
-           "comment": ["# 1 2", "% 3", "#", "a#b 1"],
-           "token count": ["a", "b 1 c", "x y z w"]}.get(flavor)
-    if odd:
-        rows.insert(draw(st.integers(0, len(rows))),
-                    draw(st.sampled_from(odd)))
-    for _ in range(draw(st.integers(0, 2))):
-        rows.insert(draw(st.integers(0, len(rows))),
-                    draw(st.sampled_from(["", " ", "\t", "\r"])))
-    lines = [draw(st.sampled_from(["", " ", "\t"])) + row
-             + draw(st.sampled_from(["", " ", "\t"]))
-             + draw(st.sampled_from(["\n", "\r\n"])) for row in rows]
-    if draw(st.booleans()):
-        lines[-1] = lines[-1].rstrip("\r\n")  # no final newline
-    return lines, nodes
-
-
-@settings(max_examples=300, deadline=None)
-@given(data=st.data())
-def test_label_fast_path_equals_line_loop(data):
-    flavor = data.draw(st.sampled_from(LABEL_FLAVORS))
-    lines, nodes = data.draw(label_text(flavor))
-    text = "".join(lines)
-    if flavor == "clean":
-        assert graph._label_table(text) is not None
-    # ids in any order, some as ints, some missing from the file
-    ids = data.draw(st.permutations(nodes))[:data.draw(
-        st.integers(1, len(nodes)))]
-    ids = [int(t) if t.isdigit() and data.draw(st.booleans()) else t
-           for t in ids]
-    if data.draw(st.booleans()):
-        ids.insert(data.draw(st.integers(0, len(ids))), "missing")
-    assert (label_outcome(graph.read_labels, text, ids)
-            == label_outcome(read_by_loop, text, ids))
-
-
-@pytest.mark.parametrize("text", [
-    "node label\na 1\n", "node,label\na,1\n", "a 1\nnode label\n",
-    "a 1\r\nb\t2\r\n", "\u00e9 x\n\u00e8 y", "a 1\na 1\n", "a 1\na 2\n",
-    "a 1\n# b 2\n", "a\u00a0b 1\n", "a\u00a0b 1\nc\u00a0d 2\n", "a, 1\n",
-    "a 1 2\n", "\n \n", "", "a 1\rb 2\n"])
+@pytest.mark.parametrize("text", LABEL_EDGE_CASES)
 def test_label_edge_cases_equal_line_loop(text):
-    assert (label_outcome(graph.read_labels, text, ["a"])
-            == label_outcome(read_by_loop, text, ["a"]))
+    try:
+        table = graph.read_labels(io.StringIO(text))
+        labels, codes = graph.code_labels(table, ["a"])
+    except DataError as exc:
+        got = type(exc), str(exc), getattr(exc, "line_no", None)
+    else:
+        assert labels.dtype == np.int64
+        got = list(table.items()), labels.tolist(), list(codes.items())
+    assert got == LABEL_EDGE_CASES[text]
 
 
 NODE_VALUES = st.integers(0, 12) | st.integers(0, 10**18 - 1)
@@ -699,7 +647,7 @@ def test_integer_label_path_equals_line_loop(case):
     tokens = [str(v) for v in ids.tolist()]
     assert (coded_outcome(lambda: load_labels(io.StringIO(text), ids))
             == coded_outcome(lambda: graph.code_labels(
-                read_by_loop(io.StringIO(text)), tokens)))
+                graph.read_labels(io.StringIO(text)), tokens)))
 
 
 @pytest.mark.parametrize("text", [
