@@ -10,10 +10,12 @@ readers take an open text file and read it whole, each by two paths: integer
 texts of both go through one scanner, _integer_pairs, and every other text
 through a per-line loop over data_lines.
 ``from_edges`` is the one builder: it reduces its pairs to the upper triangle
-U and hands that to ``_from_upper``, which returns the adjacency U + U^T; the
-DCBM sampler feeds its rows to ``_from_upper`` directly.  A cut to a closed
+U with one sort of a key per pair and hands that to ``_from_upper``, which
+returns the adjacency U + U^T; the DCBM sampler feeds its rows to
+``_from_upper`` directly.  A cut to a closed
 node set (the giant component, the non-isolated nodes) starts from the kept
-rows A[keep].
+rows A[keep]; the giant component is most often found by one breadth-first
+search.
 """
 
 import functools
@@ -24,7 +26,7 @@ from operator import itemgetter
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse.csgraph import connected_components
+from scipy.sparse.csgraph import breadth_first_order, connected_components
 
 from . import cores
 from .errors import DataError, ParseError
@@ -69,22 +71,30 @@ def from_edges(edges, n, original_ids=None):
     Self-loops are dropped and duplicate or reversed pairs collapse to one
     edge, so the adjacency is symmetric 0/1 (int8) CSR in canonical format,
     with int32 indices unless its entry count needs int64.  Indices must be
-    bool, integer or whole float values in [0, n) (ValueError otherwise);
-    nodes no pair names are isolated.  Each pair becomes (min, max), scipy's
-    COO constructor sorts and merges them into the upper triangle U, and
-    _from_upper returns U + U^T.  `original_ids` names the nodes: a
-    sequence of tokens, kept as a tuple, or an int64 array of non-negative
-    values standing for canonical decimal tokens, kept as the array (see
-    Graph); by default the tuple (0, 1, ..., n - 1).
+    bool, integer or whole float values in [0, n) (ValueError otherwise),
+    and n at most 2**31; nodes no pair names are isolated.  Each pair (u, v)
+    becomes the int64 key min << 32 | max, so one np.sort of the keys puts
+    the upper triangle U in row order with sorted columns; a repeated pair
+    is a key equal to the one before it and is dropped, the row lengths are
+    counted with np.bincount, and _from_upper returns U + U^T.
+    `original_ids` names the nodes: a sequence of tokens, kept as a tuple,
+    or an int64 array of non-negative values standing for canonical decimal
+    tokens, kept as the array (see Graph); by default the tuple
+    (0, 1, ..., n - 1).
     """
     pairs = np.asarray(edges)
-    # read the values as given: the int64 cast would truncate 1.7 to 1 and
-    # turn nan or inf into an arbitrary integer; integer arrays need no scan
-    if pairs.dtype.kind not in "biu" and not (
-            pairs.dtype.kind == "f" and np.all(
-                (pairs == np.trunc(pairs)) & (0 <= pairs) & (pairs < n))):
+    # read the values as given: the int64 cast would truncate 1.7 to 1, turn
+    # nan or inf into an arbitrary integer and wrap a uint64 above 2**63 - 1
+    if pairs.dtype.kind == "f":
+        valid = np.all((pairs == np.trunc(pairs)) & (0 <= pairs) & (pairs < n))
+    else:
+        valid = pairs.dtype.kind in "biu" and (
+            pairs.size == 0 or (pairs.min() >= 0 and pairs.max() < n))
+    if not valid:
         raise ValueError("edges must hold integer node indices in "
                          f"[0, {n})")
+    if n > 2**31:
+        raise ValueError(f"from_edges takes at most 2**31 nodes, got {n}")
     pairs = pairs.astype(np.int64, copy=False)
     if pairs.size == 0:
         pairs = pairs.reshape(0, 2)
@@ -96,11 +106,19 @@ def from_edges(edges, n, original_ids=None):
     edge = lo != hi
     if not edge.all():  # drop the self-loops; without any, copy nothing
         lo, hi = lo[edge], hi[edge]
-    # the constructor sums duplicates; int8 sums can wrap, but only the
-    # sparsity pattern of `upper` is read
-    upper = sp.csr_matrix((np.ones(lo.size, dtype=np.int8), (lo, hi)),
-                          shape=(n, n))
-    return _from_upper(upper.indptr, upper.indices, n, original_ids)
+    # lo < hi < n <= 2**31, so the key orders pairs by (lo, hi) exactly
+    keys = lo << 32
+    keys |= hi
+    del lo, hi, edge
+    keys.sort()
+    first = np.ones(keys.size, dtype=bool)
+    np.not_equal(keys[1:], keys[:-1], out=first[1:])
+    if not first.all():  # drop the repeats; without any, copy nothing
+        keys = keys[first]
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(keys >> 32, minlength=n), out=indptr[1:])
+    keys &= 0xFFFFFFFF  # each key's column, in place
+    return _from_upper(indptr, keys, n, original_ids)
 
 
 def _from_upper(indptr, indices, n, original_ids=None):
@@ -209,9 +227,11 @@ def _integer_pairs(text):
     bytes.translate of the encoded text, whose one full-size buffer is
     freed before it returns; the token rule with one boolean pass
     (_pair_tokens).  With a spare core (cores.usable) the numbers are
-    converted on a helper thread while this one checks the tokens; the
-    thread ends before this returns.  Both readers of integer texts,
-    _integer_edges and _integer_labels, call this one scanner.
+    converted on a helper thread, started as soon as the byte class has
+    passed, while this one flags the digits and checks the tokens; the
+    thread is joined on every path before this returns.  Both readers of
+    integer texts, _integer_edges and _integer_labels, call this one
+    scanner.
     """
     if not text.isascii():
         return None
@@ -219,10 +239,6 @@ def _integer_pairs(text):
     # deleting every digit and blank leaves nothing
     if raw.translate(None, b"0123456789 \t\r\n"):
         return None
-    buf = np.frombuffer(raw, dtype=np.uint8)
-    # digit flags with a non-digit pad at each end (uint8 wraps below '0')
-    digit = np.zeros(buf.size + 2, dtype=bool)
-    np.less(buf - ord("0"), 10, out=digit[1:-1])
     # on digits and blanks np.fromstring neither raises nor warns, and it
     # releases the GIL, so it can run beside the checks; OpenBLAS's idle
     # workers would hold the other core and are stopped first
@@ -234,6 +250,10 @@ def _integer_pairs(text):
         helper = threading.Thread(target=lambda: converted.append(convert()))
         helper.start()
     try:
+        buf = np.frombuffer(raw, dtype=np.uint8)
+        # digit flags with a non-digit pad at each end (uint8 wraps below '0')
+        digit = np.zeros(buf.size + 2, dtype=bool)
+        np.less(buf - ord("0"), 10, out=digit[1:-1])
         starts = _pair_tokens(buf, digit)
         # a leading zero: a token starting with '0' whose next byte is a digit
         canonical = (starts is not None and not
@@ -329,24 +349,35 @@ def giant_component(g):
     Ties between equal-size components go to the one containing the smallest
     internal index (i.e. the earliest-appearing node token).  Returns the
     subgraph and the array mapping new indices to old ones; a connected
-    graph comes back as itself, with the identity map.  The adjacency is
-    symmetric, so its strongly connected components are its connected
-    components; the directed search finds them without the transpose an
-    undirected search builds.  Components depend only on the pattern, so
-    the search reads one with float64 ones for data, sharing the adjacency's
-    index arrays: csgraph would otherwise convert the int8 data to a float64
-    copy.
+    graph comes back as itself, with the identity map.  One breadth-first
+    search runs from the highest-degree node (the lowest index on ties);
+    when it reaches more than half the nodes, their component is the unique
+    largest one.  Otherwise every component is found, as the strongly
+    connected components of the symmetric adjacency (the directed searches
+    build no transpose), and the rule above picks one.  Components depend
+    only on the pattern, so both searches read one with float64 ones for
+    data, sharing the adjacency's index arrays: csgraph would otherwise
+    convert the int8 data to a float64 copy.  The pattern is freed before
+    the cut.
     """
     if g.n == 0:
         raise DataError("empty graph")
     adj = g.adjacency
-    # the pattern is built inline, so it is freed when the search returns
-    ncomp, comp = connected_components(
-        sp.csr_matrix((np.ones(adj.nnz), adj.indices, adj.indptr),
-                      shape=adj.shape),
-        directed=True, connection="strong")
-    if ncomp == 1:
-        return g, np.arange(g.n)
+    pattern = sp.csr_matrix((np.ones(adj.nnz), adj.indices, adj.indptr),
+                            shape=adj.shape)
+    hub = int(np.argmax(np.diff(adj.indptr)))
+    reached = breadth_first_order(pattern, hub, directed=True,
+                                  return_predecessors=False)
+    if 2 * reached.size > g.n:
+        del pattern
+        if reached.size == g.n:
+            return g, np.arange(g.n)
+        reached.sort()
+        return _induced_subgraph(g, reached)
+    # the search stopped at half the nodes or fewer: two or more components
+    ncomp, comp = connected_components(pattern, directed=True,
+                                       connection="strong")
+    del pattern
     sizes = np.bincount(comp, minlength=ncomp)
     best = sizes.max()
     # among components of maximal size, the one seen first wins (whatever

@@ -126,14 +126,19 @@ def test_from_edges_trailing_isolated_nodes_and_no_edges():
         assert_canonical_01(g)
     with pytest.raises(ValueError, match="m x 2"):
         from_edges([(0, 1, 2)], n=3)
+    # each pair's key packs its smaller index above bit 32
+    with pytest.raises(ValueError, match=r"at most 2\*\*31 nodes"):
+        from_edges([], n=2**31 + 1)
 
 
 @pytest.mark.parametrize("edges", [
     np.array([[0, 1.7]]), [(0.5, 2)], [(0, np.nan)], [(1, np.inf)],
     [(0, -np.inf)], np.array([[0, 3.0]]), np.array([["0", "1"]]),
-    np.array([[0, 1]], dtype=object)])
+    np.array([[0, 1]], dtype=object), [[0, 3]], [[-1, 0]],
+    np.array([[2**63 + 5, 0]], dtype=np.uint64)])
 def test_from_edges_refuses_pairs_that_are_not_integer_indices(edges):
-    # checked as given, before the cast could truncate or wrap them
+    # checked as given, before the cast could truncate or wrap them (the
+    # uint64 2**63 + 5 to a negative int64)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(ValueError, match="integer node indices"):
@@ -512,6 +517,10 @@ def path(lo, hi):
 @example(path(0, 15) + path(20, 21))      # node 0 in a majority
 @example(path(0, 14) + path(15, 29))      # equal halves: node 0's wins
 @example(path(0, 1) + path(2, 10))        # node 0 in a minority
+# the breadth-first search from the hub, node 0, reaches a minority
+@example([(0, i) for i in range(1, 6)] + path(6, 29))
+# equal halves, the hub (node 15) in the later-seen one: node 0's wins
+@example(path(0, 14) + [(15, i) for i in range(16, 30)])
 def test_giant_component_equals_undirected_components(pairs):
     g = from_edges(pairs, n=30)
     ncomp, comp = connected_components(g.adjacency, directed=False)
